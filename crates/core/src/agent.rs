@@ -13,8 +13,9 @@
 //!   `POST /v1/session/{id}/turn` streams the turn's progress as
 //!   Server-Sent Events (pipeline stages, chain-of-thought revision
 //!   steps, per-command QoR deltas, the final script and result). Turn
-//!   2+ reuses the session's mapped design *and* the previous turn's
-//!   incremental-STA state: the template is never rebuilt and the timing
+//!   2+ reuses the session's mapped design, its memoized stage-1
+//!   embedding *and* the previous turn's incremental-STA state: the
+//!   template is never rebuilt, no circuit graph is built, and the timing
 //!   graph arrives pre-allocated (invalidated, so correctness never
 //!   depends on carried timing values).
 //!
@@ -380,7 +381,7 @@ impl ChatLsService {
         };
 
         // The pipeline, streaming stage starts and chain-of-thought steps.
-        let chatls = ChatLs::new(self.db()).with_embed_batcher(self.embed_batch());
+        let chatls = ChatLs::new(self.db());
         let outcome = {
             let emitter = &mut emitter;
             let request_cancel = cancel;
@@ -395,8 +396,9 @@ impl ChatLsService {
                     PipelineEvent::Thought(step) => emitter.emit("thought", &step.serialize()),
                 }
             };
-            chatls.try_customize_with_progress(
+            chatls.try_customize(
                 &session.design,
+                session.prepared.embedding(),
                 &task,
                 eff_seed,
                 &turn_cancel,
@@ -609,10 +611,30 @@ mod tests {
 
     /// One shared service for this module (separate from the service.rs
     /// test instance; designs used here are either catalog reads or
-    /// module-unique inline probes so pool assertions never interfere).
+    /// module-unique inline probes). Its pool-wide build count moves with
+    /// every test, so tests that assert it exactly use
+    /// [`private_service`].
     fn service() -> &'static ChatLsService {
         static SVC: OnceLock<ChatLsService> = OnceLock::new();
-        SVC.get_or_init(|| ChatLsService::new(ExpertDatabase::build(&DbConfig::quick()), 16))
+        SVC.get_or_init(private_service)
+    }
+
+    /// A service of the test's own: its pool's build count moves only
+    /// with that test's requests, never with builds that tests running
+    /// meanwhile add to the shared one.
+    fn private_service() -> ChatLsService {
+        ChatLsService::new(ExpertDatabase::build(&DbConfig::quick()), 16)
+    }
+
+    /// The `name`s of a turn's `stage` events, in order.
+    fn stage_names(sink: &BufferSink) -> Vec<String> {
+        sink.data_of("stage")
+            .iter()
+            .map(|d| {
+                let v = serde_json::parse_value(d).unwrap();
+                v.get("name").and_then(|n| n.as_str()).unwrap().to_string()
+            })
+            .collect()
     }
 
     fn never() -> CancelToken {
@@ -725,7 +747,7 @@ mod tests {
     /// incremental-STA state — zero template builds after turn 1.
     #[test]
     fn session_turns_stream_events_and_stay_warm() {
-        let svc = service();
+        let svc = &private_service();
         let create = svc.handle(&post("/v1/session", &inline_body("agent_warm_probe")), &never());
         assert_eq!(create.status, 201, "{}", String::from_utf8_lossy(&create.body));
         let cv = parse(&create.body);
@@ -738,19 +760,7 @@ mod tests {
         let names = sink.names();
         assert_eq!(names.first(), Some(&"turn"));
         assert_eq!(names.last(), Some(&"result"));
-        let stages: Vec<String> = sink
-            .data_of("stage")
-            .iter()
-            .map(|d| {
-                serde_json::parse_value(d)
-                    .unwrap()
-                    .get("name")
-                    .and_then(|n| n.as_str())
-                    .unwrap()
-                    .to_string()
-            })
-            .collect();
-        assert_eq!(stages, ["embed", "retrieve", "draft", "refine"]);
+        assert_eq!(stage_names(&sink), ["embed", "retrieve", "draft", "refine"]);
         assert!(!sink.data_of("thought").is_empty(), "CoT revision steps must stream");
         assert_eq!(sink.data_of("script").len(), 1);
         // Fresh design → cache miss → live synthesis with per-command deltas.
@@ -845,7 +855,7 @@ mod tests {
     /// next turn.
     #[test]
     fn disconnect_mid_stream_cancels_and_session_survives() {
-        let svc = service();
+        let svc = &private_service();
         let create = svc.handle(&post("/v1/session", &inline_body("agent_gone_probe")), &never());
         assert_eq!(create.status, 201);
         let id = parse(&create.body).get("session").and_then(|s| s.as_str()).unwrap().to_string();
@@ -872,6 +882,29 @@ mod tests {
             "the aborted turn must not have memoized anything for this script"
         );
         assert_eq!(svc.pool().stats().builds, builds, "disconnects never trigger rebuilds");
+    }
+
+    /// Turns 2 and 3 of a session reuse the pooled design's memoized
+    /// stage-1 embedding — no circuit graph is built — and still stream
+    /// all four stage events.
+    #[test]
+    fn later_turns_skip_stage_one_but_stream_every_stage() {
+        let svc = service();
+        let create = svc.handle(&post("/v1/session", &inline_body("agent_memo_probe")), &never());
+        assert_eq!(create.status, 201, "{}", String::from_utf8_lossy(&create.body));
+        let id = parse(&create.body).get("session").and_then(|s| s.as_str()).unwrap().to_string();
+        // Stage 1 runs on the calling thread, so this thread's count is
+        // this test's alone.
+        let graphs = || crate::circuit_mentor::GRAPH_BUILDS.with(|n| n.get());
+        for turn in 1..=3u64 {
+            let before = graphs();
+            let mut sink = BufferSink::new();
+            let status = svc.run_turn(&id, "{}", &mut sink, &never()).expect("claimed turn");
+            assert_eq!(status, 200, "turn {turn}: {:?}", sink.names());
+            let built = graphs() - before;
+            assert_eq!(built, u64::from(turn == 1), "turn {turn} built {built} circuit graphs");
+            assert_eq!(stage_names(&sink), ["embed", "retrieve", "draft", "refine"], "turn {turn}");
+        }
     }
 
     /// Satellite: a synthesis run cancelled mid-script is never memoized

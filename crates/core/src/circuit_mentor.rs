@@ -56,12 +56,21 @@ impl CircuitGraph {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Circuit graphs built on this thread: lets tests check that a warm
+    /// path builds none, undisturbed by tests running on other threads.
+    pub(crate) static GRAPH_BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Builds the dual graph representation from a generated design.
 ///
 /// # Panics
 ///
 /// Panics if the design source does not parse (generator bug).
 pub fn build_circuit_graph(design: &GeneratedDesign) -> CircuitGraph {
+    #[cfg(test)]
+    GRAPH_BUILDS.with(|n| n.set(n.get() + 1));
     let ast = design.ast();
     let kind_of = |module: &str| design.modules.iter().find(|m| m.name == module).map(|m| m.kind);
 

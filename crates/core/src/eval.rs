@@ -63,7 +63,8 @@ pub fn design_fingerprint(design: &GeneratedDesign) -> u64 {
 /// eliminated, commuting adjacent constraints sorted. Two scripts with
 /// the same semantic canonical form are *guaranteed* to produce
 /// bitwise-identical `(QoR, ok)` pairs (the differential oracle in
-/// `tests/canon_oracle.rs` enforces this across the design catalog), so
+/// `tests/scriptir_integration.rs` enforces this across the design
+/// catalog), so
 /// textually-distinct but equivalent scripts share one QorCache entry.
 ///
 /// Scripts the prover declines (unknown commands, grammar violations,

@@ -3,8 +3,9 @@
 //! Given a user request, the design, its baseline script and the tool's
 //! baseline report, [`ChatLs::customize`]:
 //!
-//! 1. runs **CircuitMentor** — builds the circuit graph and computes the
-//!    design embedding with the database's trained GNN,
+//! 1. runs **CircuitMentor** ([`embed_design`]) — builds the circuit
+//!    graph and computes the design embedding with the database's trained
+//!    GNN (the serving layer memoizes this per pooled design),
 //! 2. queries **SynthRAG** — retrieves similar designs with their measured
 //!    best strategies (graph-embedding retrieval, Eq. 4 + Eq. 5 rerank),
 //! 3. lets the **Generator** (a fallible one-shot LLM stand-in) draft a
@@ -13,26 +14,26 @@
 //!    step against retrieval (manual validation, critical-path evidence,
 //!    trait alignment) before emitting the final script.
 
-use std::sync::Arc;
+use std::sync::OnceLock;
 
-use crate::circuit_mentor::{build_circuit_graph, detect_traits, CircuitGraph};
+use crate::circuit_mentor::{build_circuit_graph, detect_traits};
 use crate::database::{DesignHit, ExpertDatabase};
 use crate::llm::{Generator, OneShot, OneShotProfile, TaskContext, TimingSummary};
 use crate::synthexpert::{ExpertTrace, SynthExpert};
 use crate::synthrag::SynthRag;
 use chatls_designs::GeneratedDesign;
-use chatls_exec::{BatchCell, CancelToken, Cancelled};
+use chatls_exec::{CancelToken, Cancelled};
 use chatls_obs::ObsCtx;
 use chatls_synth::SessionTemplate;
 use serde::{Deserialize, Serialize};
 
-/// The request-accumulation cell for GNN design embeddings: concurrent
-/// customizations overlapping in this cell share one batched
-/// [`crate::circuit_mentor::CircuitMentor::design_embeddings`] inference
-/// (one weight matmul per layer for the whole batch) instead of one GNN
-/// pass each. Batched and per-request embeddings are bitwise identical,
-/// so batching is invisible in responses.
-pub type EmbedBatch = BatchCell<CircuitGraph, Vec<f32>>;
+/// Stage 1, CircuitMentor: builds the design's circuit graph and embeds
+/// it with the database's trained GNN. The result depends only on the
+/// design and the database, so the serving layer computes it once per
+/// pooled design and hands the memo to [`ChatLs::try_customize`].
+pub fn embed_design(db: &ExpertDatabase, design: &GeneratedDesign) -> Vec<f32> {
+    db.mentor().design_embedding(&build_circuit_graph(design))
+}
 
 /// The baseline script the evaluation customizes (the paper adapts the
 /// OpenROAD scripts to Design Compiler format; this is that adaptation).
@@ -147,9 +148,9 @@ impl ChatLsOutcome {
     }
 }
 
-/// A progress event emitted while [`ChatLs::try_customize_with_progress`]
-/// runs — the seam streaming front ends (SSE sessions) turn into wire
-/// events as the pipeline produces them.
+/// A progress event emitted while [`ChatLs::try_customize`] runs — the
+/// seam streaming front ends (SSE sessions) turn into wire events as the
+/// pipeline produces them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PipelineEvent<'a> {
     /// A pipeline stage is starting: `"embed"`, `"retrieve"`, `"draft"`
@@ -168,9 +169,6 @@ pub struct ChatLs<'db> {
     db: &'db ExpertDatabase,
     drafter: OneShot,
     obs: ObsCtx,
-    /// When set, stage-1 embeddings are batched across concurrent
-    /// pipelines sharing the cell (the serve path sets this).
-    embed_batch: Option<Arc<EmbedBatch>>,
     /// Number of similar designs to retrieve.
     pub retrieve_k: usize,
 }
@@ -188,7 +186,6 @@ impl<'db> ChatLs<'db> {
             db,
             drafter: OneShot::new(OneShotProfile::gpt_like()),
             obs: ObsCtx::global().clone(),
-            embed_batch: None,
             retrieve_k: 3,
         }
     }
@@ -196,13 +193,6 @@ impl<'db> ChatLs<'db> {
     /// Replaces the observability context spans are recorded into.
     pub fn with_obs(mut self, obs: ObsCtx) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Routes stage-1 GNN embeddings through a shared [`EmbedBatch`] so
-    /// concurrent pipelines are embedded in one batched forward pass.
-    pub fn with_embed_batcher(mut self, cell: Arc<EmbedBatch>) -> Self {
-        self.embed_batch = Some(cell);
         self
     }
 
@@ -221,15 +211,26 @@ impl<'db> ChatLs<'db> {
         task: &TaskContext,
         seed: u64,
     ) -> ChatLsOutcome {
-        self.try_customize(design, task, seed, &CancelToken::never())
+        self.try_customize(design, &OnceLock::new(), task, seed, &CancelToken::never(), &mut |_| {})
             .expect("a never-token cannot cancel customization")
     }
 
-    /// [`ChatLs::customize`] honouring a cooperative cancel token at every
-    /// stage boundary (the serving layer's per-request deadline hook). A
-    /// fired token abandons the remaining stages; no partial outcome is
-    /// returned, because a script from an unrevised draft must never be
-    /// served.
+    /// [`ChatLs::customize`] as the serving layer runs it.
+    ///
+    /// - `embedding` memoizes stage 1: an empty cell is filled with
+    ///   [`embed_design`], a filled one is used as is. Share a cell only
+    ///   between calls on the same design and database.
+    /// - `cancel` is honoured at every stage boundary. A fired token
+    ///   abandons the remaining stages; no partial outcome is returned,
+    ///   because a script from an unrevised draft must never be served.
+    /// - `progress` receives a [`PipelineEvent::Stage`] as each stage
+    ///   starts (`embed` included, memoized or not) and a
+    ///   [`PipelineEvent::Thought`] per chain-of-thought revision step.
+    ///   It runs on the pipeline thread, must be cheap and must not
+    ///   panic.
+    ///
+    /// Neither the memo nor the events perturb the outcome: it is
+    /// bitwise identical to [`ChatLs::customize`].
     ///
     /// # Errors
     ///
@@ -237,26 +238,7 @@ impl<'db> ChatLs<'db> {
     pub fn try_customize(
         &self,
         design: &GeneratedDesign,
-        task: &TaskContext,
-        seed: u64,
-        cancel: &CancelToken,
-    ) -> Result<ChatLsOutcome, Cancelled> {
-        self.try_customize_with_progress(design, task, seed, cancel, &mut |_| {})
-    }
-
-    /// [`ChatLs::try_customize`] reporting progress: `progress` is
-    /// invoked with a [`PipelineEvent::Stage`] as each stage starts and a
-    /// [`PipelineEvent::Thought`] per chain-of-thought revision step.
-    /// The callback runs on the pipeline thread; it must be cheap and
-    /// must not panic. Event emission does not perturb the outcome —
-    /// results are byte-identical to [`ChatLs::try_customize`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] when `cancel` fires between stages.
-    pub fn try_customize_with_progress(
-        &self,
-        design: &GeneratedDesign,
+        embedding: &OnceLock<Vec<f32>>,
         task: &TaskContext,
         seed: u64,
         cancel: &CancelToken,
@@ -269,16 +251,7 @@ impl<'db> ChatLs<'db> {
         progress(PipelineEvent::Stage { name: "embed" });
         let embedding = {
             let _s = if on { Some(self.obs.span("core.mentor.embed")) } else { None };
-            let graph = build_circuit_graph(design);
-            match &self.embed_batch {
-                Some(cell) => cell.submit(graph, |graphs| {
-                    chatls_obs::counter("core.mentor.embed_batches").inc();
-                    chatls_obs::counter("core.mentor.embed_batched").add(graphs.len() as u64);
-                    let refs: Vec<&CircuitGraph> = graphs.iter().collect();
-                    self.db.mentor().design_embeddings(&refs)
-                }),
-                None => self.db.mentor().design_embedding(&graph),
-            }
+            embedding.get_or_init(|| embed_design(self.db, design)).clone()
         };
         // 2. SynthRAG: similar designs + their measured best strategies.
         cancel.checkpoint()?;

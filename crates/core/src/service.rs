@@ -20,10 +20,11 @@
 //! - `GET /healthz`, `GET /metrics` (plain-text registry exposition),
 //!   `GET /telemetry` (the `chatls.telemetry.v1` JSON document).
 //!
-//! Warm path: prepared designs — the mapped [`SessionTemplate`] plus the
-//! baseline [`TaskContext`] per request string — live in an LRU
-//! [`SessionPool`] keyed by design fingerprint, so repeat requests skip
-//! parse/lower/map *and* the baseline synthesis run. Pool misses are
+//! Warm path: prepared designs — the mapped [`SessionTemplate`], the
+//! stage-1 design embedding and the baseline [`TaskContext`] per request
+//! string — live in an LRU [`SessionPool`] keyed by design fingerprint,
+//! so repeat requests skip parse/lower/map, the circuit graph and GNN
+//! embedding, *and* the baseline synthesis run. Pool misses are
 //! single-flight: concurrent cold requests for one design coalesce onto a
 //! single template build, and [`ChatLsService::spawn_warmer`] pre-builds
 //! the benchmark catalog in the background at startup (rate-limited,
@@ -36,7 +37,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use chatls_designs::GeneratedDesign;
@@ -52,7 +53,7 @@ use serde::{Deserialize, Serialize};
 use crate::database::ExpertDatabase;
 use crate::eval::{design_fingerprint, run_script_in_cancellable, QorCache};
 use crate::llm::TaskContext;
-use crate::pipeline::{prepare_task_in, ChatLs, EmbedBatch};
+use crate::pipeline::{prepare_task_in, ChatLs};
 
 /// Cap on cached task contexts per pooled design. The request string is
 /// client-supplied, so this map must stay bounded no matter how many
@@ -98,10 +99,16 @@ impl TaskCache {
     }
 }
 
-/// A design's warm serving state: the mapped template plus the baseline
-/// task context per distinct user request string.
+/// A design's warm serving state: the mapped template, the stage-1
+/// design embedding, and the baseline task context per distinct user
+/// request string.
 pub struct PreparedDesign {
     template: SessionTemplate,
+    /// Stage 1's result ([`crate::pipeline::embed_design`]), filled by
+    /// the first customization of this design and reused by every later
+    /// one. It depends only on the design, which the pool key pins, and
+    /// on the service's one database.
+    embedding: OnceLock<Vec<f32>>,
     /// Bounded per-request task contexts (see [`TaskCache`]).
     tasks: Mutex<TaskCache>,
 }
@@ -111,6 +118,11 @@ impl PreparedDesign {
     /// per-turn synthesis sessions from it).
     pub(crate) fn template(&self) -> &SessionTemplate {
         &self.template
+    }
+
+    /// The stage-1 memo to hand to [`ChatLs::try_customize`].
+    pub(crate) fn embedding(&self) -> &OnceLock<Vec<f32>> {
+        &self.embedding
     }
 }
 
@@ -167,9 +179,6 @@ pub struct ChatLsService {
     routes: Router<Self>,
     /// Cluster identity; `None` for a standalone daemon.
     shard: Option<ShardIdentity>,
-    /// Shared stage-1 GNN batching cell: concurrent customize requests
-    /// overlapping here get one batched embedding forward pass.
-    embed_batch: Arc<EmbedBatch>,
 }
 
 /// Default user request, matching the `chatls customize` CLI default so
@@ -194,7 +203,11 @@ fn build_prepared(design: &GeneratedDesign) -> Result<PreparedDesign, Response> 
         .obs(ObsCtx::global().clone())
         .template()
         .map_err(|e| Response::error(400, "mapping_failed", &format!("mapping failed: {e}")))?;
-    Ok(PreparedDesign { template, tasks: Mutex::new(TaskCache::default()) })
+    Ok(PreparedDesign {
+        template,
+        embedding: OnceLock::new(),
+        tasks: Mutex::new(TaskCache::default()),
+    })
 }
 
 /// Sleeps for `total`, waking early if `cancel` fires. Returns `true`
@@ -318,7 +331,6 @@ impl ChatLsService {
             ),
             routes: <Self as AppHandler>::routes(),
             shard: None,
-            embed_batch: Arc::new(EmbedBatch::new()),
         }
     }
 
@@ -344,12 +356,6 @@ impl ChatLsService {
     /// The streaming-session registry (tests inspect occupancy).
     pub fn sessions(&self) -> &SessionRegistry<crate::agent::AgentSession> {
         &self.sessions
-    }
-
-    /// The shared stage-1 embedding batch cell (streaming turns reuse it
-    /// so batched-vs-solo embeddings stay bitwise identical either way).
-    pub(crate) fn embed_batch(&self) -> Arc<EmbedBatch> {
-        Arc::clone(&self.embed_batch)
     }
 
     /// Resolves the design a request body names: the `design` key looks
@@ -500,9 +506,8 @@ impl ChatLsService {
         let task = self
             .task_for(&design, &prepared, &request, cancel)
             .map_err(|Cancelled| deadline_resp("baseline synthesis"))?;
-        let chatls = ChatLs::new(&self.db).with_embed_batcher(self.embed_batch.clone());
-        let outcome = chatls
-            .try_customize(&design, &task, seed, cancel)
+        let outcome = ChatLs::new(&self.db)
+            .try_customize(&design, prepared.embedding(), &task, seed, cancel, &mut |_| {})
             .map_err(|Cancelled| deadline_resp("script customization"))?;
         let fp = design_fingerprint(&design);
         self.seed_qor_from_peer(fp, outcome.script());
@@ -851,6 +856,7 @@ impl AppHandler for ChatLsService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit_mentor::build_circuit_graph;
     use crate::database::DbConfig;
     use crate::testutil::quick_db;
     use std::sync::OnceLock;
@@ -926,6 +932,42 @@ mod tests {
         let task = crate::pipeline::prepare_task(&design, DEFAULT_REQUEST);
         let outcome = ChatLs::new(quick_db()).customize(&design, &task, 0);
         assert_eq!(served, outcome.script(), "served script diverged from the CLI pipeline");
+    }
+
+    /// Stage 1 is memoized per pooled design: a repeat customize builds
+    /// no circuit graph, and the memo holds exactly the embedding a fresh
+    /// CircuitMentor pass computes — for a catalog and an inline design.
+    #[test]
+    fn warm_customize_reuses_the_memoized_stage_one_embedding() {
+        let svc = service();
+        // Stage 1 runs on the calling thread, so this thread's count is
+        // this test's alone.
+        let graphs = || crate::circuit_mentor::GRAPH_BUILDS.with(|n| n.get());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let inline = "{\"verilog\": \"module memo_probe(input clk, input a, input b, \
+                      output reg y); always @(posedge clk) y <= a | b; endmodule\", \
+                      \"top\": \"memo_probe\"}";
+        for body in ["{\"design\": \"riscv32i\"}", inline] {
+            let design =
+                ChatLsService::resolve_design(&serde_json::parse_value(body).unwrap()).unwrap();
+            let script = |resp: Response| {
+                assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+                let v = serde_json::parse_value(&String::from_utf8(resp.body).unwrap()).unwrap();
+                v.get("script").and_then(|s| s.as_str()).unwrap().to_string()
+            };
+            let before = graphs();
+            let cold = script(svc.handle(&post("/v1/customize", body), &CancelToken::never()));
+            assert_eq!(graphs() - before, 1, "{}: first use computes stage 1", design.name);
+            let before = graphs();
+            let warm = script(svc.handle(&post("/v1/customize", body), &CancelToken::never()));
+            assert_eq!(graphs(), before, "{}: a warm customize built a circuit graph", design.name);
+            assert_eq!(warm, cold);
+            let (prepared, hit) = svc.prepared(&design, &CancelToken::never()).unwrap();
+            assert!(hit, "{}: pooled entry evicted mid-test", design.name);
+            let memo = prepared.embedding().get().expect("stage 1 memoized on first use");
+            let fresh = svc.db().mentor().design_embedding(&build_circuit_graph(&design));
+            assert_eq!(bits(memo), bits(&fresh), "{}: memoized embedding differs", design.name);
+        }
     }
 
     #[test]

@@ -453,11 +453,6 @@ pub fn tiny_rocket() -> GeneratedDesign {
     b.finish()
 }
 
-/// All seven Table IV benchmark designs, in the paper's row order.
-pub fn benchmarks() -> Vec<GeneratedDesign> {
-    vec![aes(), dynamic_node(), ethmac(), jpeg(), riscv32i(), swerv(), tiny_rocket()]
-}
-
 /// `Rocket` (Table II): a larger Rocket-chip-class core.
 pub fn rocket() -> GeneratedDesign {
     let mut d = tiny_rocket();
@@ -576,14 +571,52 @@ pub fn sha3() -> GeneratedDesign {
     b.finish()
 }
 
-/// All Table II database designs.
-pub fn database_designs() -> Vec<GeneratedDesign> {
-    vec![rocket(), sodor(), nvdla(), gemmini(), simd(), fft(), sha3()]
+/// One catalog entry: a design's name and its constructor.
+type Entry = (&'static str, fn() -> GeneratedDesign);
+
+/// Name → constructor for every catalog design: the seven Table IV
+/// benchmarks in the paper's row order, then the seven Table II
+/// database designs. [`benchmarks`], [`database_designs`] and
+/// [`by_name`] all read this one table, so a lookup builds only the
+/// design it names.
+const CATALOG: [Entry; 14] = [
+    ("aes", aes),
+    ("dynamic_node", dynamic_node),
+    ("ethmac", ethmac),
+    ("jpeg", jpeg),
+    ("riscv32i", riscv32i),
+    ("swerv", swerv),
+    ("tinyRocket", tiny_rocket),
+    ("rocket", rocket),
+    ("sodor", sodor),
+    ("nvdla", nvdla),
+    ("gemmini", gemmini),
+    ("simd", simd),
+    ("fft", fft),
+    ("sha3", sha3),
+];
+
+/// How many leading [`CATALOG`] entries are benchmarks.
+const BENCHMARK_COUNT: usize = 7;
+
+fn build_all(entries: &[Entry]) -> Vec<GeneratedDesign> {
+    entries.iter().map(|(_, build)| build()).collect()
 }
 
-/// Looks up any design (benchmark or database) by name.
+/// All seven Table IV benchmark designs, in the paper's row order.
+pub fn benchmarks() -> Vec<GeneratedDesign> {
+    build_all(&CATALOG[..BENCHMARK_COUNT])
+}
+
+/// All Table II database designs.
+pub fn database_designs() -> Vec<GeneratedDesign> {
+    build_all(&CATALOG[BENCHMARK_COUNT..])
+}
+
+/// Looks up any design (benchmark or database) by name, building only
+/// that one.
 pub fn by_name(name: &str) -> Option<GeneratedDesign> {
-    benchmarks().into_iter().chain(database_designs()).find(|d| d.name == name)
+    CATALOG.iter().find(|(n, _)| *n == name).map(|(_, build)| build())
 }
 
 // ---- helpers for derived designs ----
@@ -704,6 +737,16 @@ mod tests {
         assert!(by_name("aes").is_some());
         assert!(by_name("gemmini").is_some());
         assert!(by_name("nonexistent").is_none());
+    }
+
+    #[test]
+    fn by_name_returns_every_listed_design_unchanged() {
+        for d in benchmarks().into_iter().chain(database_designs()) {
+            assert_eq!(by_name(&d.name).as_ref(), Some(&d), "{} differs through by_name", d.name);
+        }
+        for unknown in ["", "AES", "aes ", "tinyrocket", "inline:aes"] {
+            assert!(by_name(unknown).is_none(), "'{unknown}' must not resolve");
+        }
     }
 
     #[test]

@@ -205,124 +205,6 @@ impl<T: Clone> Latch<T> {
     }
 }
 
-/// An opportunistic batching combiner (group commit for pure functions).
-///
-/// Concurrent callers of [`BatchCell::submit`] that overlap in time are
-/// merged into one call of the supplied batch function: the first caller
-/// becomes the *leader* and runs the function over everything queued at
-/// that instant (at least its own item); callers arriving while a batch
-/// is in flight queue up, and one of them leads the next round when it
-/// ends. A caller with no contemporaries runs a batch of one immediately —
-/// **zero added idle latency**, batches only form under load.
-///
-/// The batch function must be pure and order-preserving: result `i`
-/// belongs to input `i`. Callers get exactly the result their item
-/// produced, so as long as the function is item-independent (like
-/// stacking independent graphs into one GNN inference), batched and
-/// unbatched execution are observationally identical.
-#[derive(Debug, Default)]
-pub struct BatchCell<T, R> {
-    state: Mutex<BatchCellState<T, R>>,
-    wake: Condvar,
-}
-
-#[derive(Debug)]
-struct BatchCellState<T, R> {
-    queue: Vec<(u64, T)>,
-    results: Vec<(u64, R)>,
-    /// Tickets whose batch leader panicked; waiters re-raise.
-    failed: Vec<u64>,
-    leader_active: bool,
-    next_ticket: u64,
-}
-
-impl<T, R> Default for BatchCellState<T, R> {
-    fn default() -> Self {
-        Self {
-            queue: Vec::new(),
-            results: Vec::new(),
-            failed: Vec::new(),
-            leader_active: false,
-            next_ticket: 0,
-        }
-    }
-}
-
-impl<T, R> BatchCell<T, R> {
-    /// An empty cell.
-    pub fn new() -> Self {
-        Self { state: Mutex::new(BatchCellState::default()), wake: Condvar::new() }
-    }
-
-    /// Submits `item` and blocks until its result is available, merging
-    /// with concurrent submissions. `f` maps a batch of items to their
-    /// results, index-aligned; it runs on whichever calling thread leads
-    /// the round that includes `item`.
-    ///
-    /// # Panics
-    ///
-    /// If `f` panics, every caller whose item was in that batch observes
-    /// a panic (the leader's unwinds naturally; waiters re-raise), and
-    /// the cell stays usable for later submissions.
-    pub fn submit(&self, item: T, f: impl Fn(Vec<T>) -> Vec<R>) -> R {
-        let mut st = self.state.lock().unwrap();
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.queue.push((ticket, item));
-        loop {
-            if let Some(at) = st.results.iter().position(|(t, _)| *t == ticket) {
-                return st.results.swap_remove(at).1;
-            }
-            if let Some(at) = st.failed.iter().position(|t| *t == ticket) {
-                st.failed.swap_remove(at);
-                drop(st);
-                panic!("batch leader panicked while computing this item's batch");
-            }
-            if st.leader_active {
-                st = self.wake.wait(st).unwrap();
-                continue;
-            }
-            // Lead one round over everything queued right now (including
-            // our own item, which is still in the queue).
-            st.leader_active = true;
-            let batch = std::mem::take(&mut st.queue);
-            drop(st);
-            let (tickets, items): (Vec<u64>, Vec<T>) = batch.into_iter().unzip();
-            // If `f` unwinds, mark the batch failed instead of leaving
-            // its waiters parked forever. The leader's own ticket is
-            // skipped: its panic propagates by unwinding out of here.
-            let guard = BatchLeaderGuard { cell: self, tickets: &tickets, leader: ticket };
-            let results = f(items);
-            std::mem::forget(guard);
-            assert_eq!(
-                results.len(),
-                tickets.len(),
-                "batch function must return one result per item"
-            );
-            st = self.state.lock().unwrap();
-            st.results.extend(tickets.into_iter().zip(results));
-            st.leader_active = false;
-            self.wake.notify_all();
-            // Next iteration finds our own result and returns it.
-        }
-    }
-}
-
-struct BatchLeaderGuard<'a, T, R> {
-    cell: &'a BatchCell<T, R>,
-    tickets: &'a [u64],
-    leader: u64,
-}
-
-impl<T, R> Drop for BatchLeaderGuard<'_, T, R> {
-    fn drop(&mut self) {
-        let mut st = self.cell.state.lock().unwrap();
-        st.failed.extend(self.tickets.iter().filter(|&&t| t != self.leader));
-        st.leader_active = false;
-        self.cell.wake.notify_all();
-    }
-}
-
 /// A scoped thread pool with deterministic result ordering.
 ///
 /// Work items are indexed `0..n`; workers claim contiguous chunks off a
@@ -1024,75 +906,5 @@ mod tests {
         let waited = start.elapsed();
         assert!(waited >= Duration::from_millis(25), "left early: {waited:?}");
         assert!(waited < Duration::from_secs(2), "deadline ignored: {waited:?}");
-    }
-
-    #[test]
-    fn batch_cell_runs_lone_submission_immediately() {
-        let cell: BatchCell<u32, u32> = BatchCell::new();
-        let calls = AtomicU32::new(0);
-        let double = |items: Vec<u32>| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            items.into_iter().map(|x| x * 2).collect()
-        };
-        assert_eq!(cell.submit(21, double), 42);
-        assert_eq!(cell.submit(5, double), 10);
-        assert_eq!(calls.load(Ordering::SeqCst), 2, "lone submissions are batches of one");
-    }
-
-    #[test]
-    fn batch_cell_merges_concurrent_submissions() {
-        let cell: Arc<BatchCell<u32, u32>> = Arc::new(BatchCell::new());
-        let calls = Arc::new(AtomicU32::new(0));
-        let max_batch = Arc::new(AtomicU32::new(0));
-        // Hold the first round open until all contemporaries have queued:
-        // the leader parks inside `f`, so every other submitter lands in
-        // the queue and the second round must batch them together.
-        let arrived = Arc::new(AtomicU32::new(0));
-        const N: u32 = 8;
-        let threads: Vec<_> = (0..N)
-            .map(|i| {
-                let (cell, calls, max_batch, arrived) = (
-                    Arc::clone(&cell),
-                    Arc::clone(&calls),
-                    Arc::clone(&max_batch),
-                    Arc::clone(&arrived),
-                );
-                std::thread::spawn(move || {
-                    arrived.fetch_add(1, Ordering::SeqCst);
-                    cell.submit(i, |items: Vec<u32>| {
-                        calls.fetch_add(1, Ordering::SeqCst);
-                        max_batch.fetch_max(items.len() as u32, Ordering::SeqCst);
-                        // First leader waits for the whole cohort to
-                        // have at least started submitting.
-                        let deadline = Instant::now() + Duration::from_secs(5);
-                        while arrived.load(Ordering::SeqCst) < N && Instant::now() < deadline {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        items.into_iter().map(|x| x * 10).collect()
-                    })
-                })
-            })
-            .collect();
-        for (i, t) in threads.into_iter().enumerate() {
-            assert_eq!(t.join().unwrap(), i as u32 * 10, "result must match the item");
-        }
-        assert!(
-            calls.load(Ordering::SeqCst) < N,
-            "concurrent submissions never merged ({} calls for {N} items)",
-            calls.load(Ordering::SeqCst)
-        );
-        assert!(max_batch.load(Ordering::SeqCst) > 1, "no batch bigger than one formed");
-    }
-
-    #[test]
-    fn batch_cell_survives_a_panicking_leader() {
-        let cell: Arc<BatchCell<u32, u32>> = Arc::new(BatchCell::new());
-        let boom = std::thread::spawn({
-            let cell = Arc::clone(&cell);
-            move || cell.submit(1, |_| -> Vec<u32> { panic!("leader died") })
-        });
-        assert!(boom.join().is_err(), "leader must observe its own panic");
-        // The cell is reusable afterwards.
-        assert_eq!(cell.submit(2, |items| items.into_iter().map(|x| x + 1).collect()), 3);
     }
 }

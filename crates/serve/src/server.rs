@@ -19,6 +19,16 @@
 //!    stops accepting, workers drain every queued connection, and
 //!    [`AppHandler::on_shutdown`] runs once for final flushes (telemetry).
 //!    No admitted request is dropped.
+//!
+//! Between connections the acceptor blocks in `poll(2)` until the
+//! listener is readable, so a new connection is accepted the moment it
+//! arrives. The wait is capped at [`ACCEPT_WAIT`]: the shutdown flag is
+//! therefore observed within that cap even on an idle server (a signal
+//! landing on the acceptor thread wakes it at once, because `poll` is
+//! never restarted after a handler). A bare blocking `accept` would not
+//! do: the signal handlers are installed with `SA_RESTART`, so SIGTERM
+//! would never wake it. Off Unix the acceptor falls back to nonblocking
+//! `accept` plus a short sleep.
 
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
@@ -134,6 +144,48 @@ pub fn install_signal_handlers() {
 #[cfg(not(unix))]
 pub fn install_signal_handlers() {}
 
+/// Longest the acceptor waits for a connection before it re-checks the
+/// shutdown flag: the worst-case delay before an idle server notices a
+/// [`ShutdownHandle::shutdown`] or a signal handled on another thread.
+const ACCEPT_WAIT: Duration = Duration::from_millis(50);
+
+/// Blocks until `listener` has a pending connection, a signal
+/// interrupts the wait, or `timeout` passes. Errors are ignored: the
+/// acceptor's next `accept` reports anything real.
+#[cfg(unix)]
+fn wait_readable(listener: &TcpListener, timeout: Duration) {
+    use std::os::unix::io::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut pollfd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `pollfd` is one initialized `struct pollfd` (same layout
+    // via `repr(C)`) that outlives the call, and `nfds` is 1, so poll
+    // reads and writes only that struct. `fd` stays open: `listener` is
+    // borrowed for the whole call.
+    unsafe {
+        poll(&mut pollfd, 1, timeout_ms);
+    }
+}
+
+/// Off Unix: a short sleep, after which the acceptor retries `accept`.
+#[cfg(not(unix))]
+fn wait_readable(_listener: &TcpListener, _timeout: Duration) {
+    std::thread::sleep(Duration::from_millis(5));
+}
+
 /// Requests graceful shutdown of the [`Server`] it came from.
 #[derive(Clone)]
 pub struct ShutdownHandle {
@@ -208,8 +260,9 @@ impl Server {
             })
             .collect();
 
-        // Accept until shutdown. Nonblocking accept + short sleep keeps
-        // the loop responsive to the flag without platform poll APIs.
+        // Accept until shutdown: nonblocking accept, and when it would
+        // block, wait for the listener to become readable (bounded, so
+        // the shutdown flag is re-checked at least every ACCEPT_WAIT).
         while !self.should_stop() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -227,7 +280,7 @@ impl Server {
                     queue.ready.notify_one();
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                    wait_readable(&self.listener, ACCEPT_WAIT);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
@@ -628,6 +681,69 @@ mod tests {
             assert_eq!(c.join().unwrap(), 200, "in-flight request dropped during drain");
         }
         assert_eq!(gate.handled.load(Ordering::SeqCst), 4);
+    }
+
+    /// Answers every request at once, touching nothing.
+    struct NoopHandler;
+
+    impl AppHandler for NoopHandler {
+        fn handle(&self, _req: &Request, _cancel: &CancelToken) -> Response {
+            Response::json(200, "{}".to_string())
+        }
+    }
+
+    #[test]
+    fn idle_server_accepts_sequential_requests_without_delay() {
+        let (addr, shutdown, join) = spawn_server(Arc::new(NoopHandler), 8, 5_000);
+        let median_round_trip = || {
+            let mut round_trips: Vec<Duration> = (0..21)
+                .map(|_| {
+                    let started = Instant::now();
+                    let (status, _) = request(addr, "/noop");
+                    assert_eq!(status, 200);
+                    started.elapsed()
+                })
+                .collect();
+            round_trips.sort();
+            round_trips[round_trips.len() / 2]
+        };
+        // A sleeping acceptor adds most of its sleep to every request
+        // that arrives while it naps, so each round's median sits near
+        // the sleep; a readiness wait adds nothing. On a busy host the
+        // scheduler can delay one round as much, hence a few rounds.
+        let fast = Duration::from_millis(1);
+        let mut medians = Vec::new();
+        for _ in 0..5 {
+            medians.push(median_round_trip());
+            if medians[medians.len() - 1] < fast {
+                break;
+            }
+        }
+        assert!(medians.iter().any(|m| *m < fast), "median round trip per round: {medians:?}");
+        shutdown.shutdown();
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn shutdown_is_prompt_on_a_server_that_never_accepted() {
+        let (_addr, shutdown, join) = spawn_server(Arc::new(NoopHandler), 8, 5_000);
+        // Let the acceptor settle into its readiness wait.
+        std::thread::sleep(Duration::from_millis(20));
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            join.join().unwrap();
+            let _ = done_tx.send(());
+        });
+        let started = Instant::now();
+        shutdown.shutdown();
+        // Fails (instead of hanging) if the acceptor blocks for good.
+        let drained = done.recv_timeout(ACCEPT_WAIT * 10);
+        assert!(
+            drained.is_ok(),
+            "run() still blocked {:?} after shutdown with no connection ever made",
+            started.elapsed()
+        );
+        waiter.join().unwrap();
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! End-to-end contract of the `chatls serve` stack over real TCP.
 //!
 //! One [`ChatLsService`] (one quick expert database, one session pool)
-//! is shared by every server in the file, so the tests also exercise the
-//! pool under concurrent access:
+//! is shared by the servers in the file, so the tests also exercise the
+//! pool under concurrent access; the one test that asserts an exact pool
+//! build count runs on a private service instead:
 //!
 //! - concurrent clients get byte-identical responses, and the served
 //!   script is exactly what the one-shot CLI pipeline produces;
@@ -36,15 +37,23 @@ fn service() -> Arc<ChatLsService> {
     }))
 }
 
+type Running = (String, ShutdownHandle, std::thread::JoinHandle<std::io::Result<()>>);
+
 /// Binds a fresh server on port 0 over the shared service and runs it on
 /// a background thread.
-fn start_server(
+fn start_server(workers: usize, queue_depth: usize, timeout_ms: u64) -> Running {
+    start_server_on(service(), workers, queue_depth, timeout_ms)
+}
+
+/// [`start_server`] over a caller-chosen service.
+fn start_server_on(
+    svc: Arc<ChatLsService>,
     workers: usize,
     queue_depth: usize,
     timeout_ms: u64,
-) -> (String, ShutdownHandle, std::thread::JoinHandle<std::io::Result<()>>) {
+) -> Running {
     let config = ServeConfig { addr: "127.0.0.1:0".to_string(), workers, queue_depth, timeout_ms };
-    let server = Server::bind(config, service()).expect("bind port 0");
+    let server = Server::bind(config, svc).expect("bind port 0");
     let addr = server.local_addr().expect("bound address").to_string();
     let handle = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run());
@@ -365,7 +374,10 @@ fn streaming_session_turns_stay_warm_over_real_tcp() {
 
 #[test]
 fn client_disconnect_mid_sse_leaves_the_session_healthy() {
-    let (addr, shutdown, join) = start_server(2, 16, 0);
+    // A private service: its pool's build count moves only with this
+    // test's requests, never with builds other tests run meanwhile.
+    let svc = Arc::new(ChatLsService::new(ExpertDatabase::build(&DbConfig::quick()), 16));
+    let (addr, shutdown, join) = start_server_on(Arc::clone(&svc), 2, 16, 0);
     let created = http(&addr, "POST", "/v1/session", &inline_design_body("itg_gone_probe"));
     assert_eq!(created.status, 201, "{}", created.body);
     let id = serde_json::parse_value(&created.body)
@@ -375,7 +387,7 @@ fn client_disconnect_mid_sse_leaves_the_session_healthy() {
         .expect("session id")
         .to_string();
     let turn_path = format!("/v1/session/{id}/turn");
-    let builds_before = service().pool().stats().builds;
+    let builds_before = svc.pool().stats().builds;
 
     // Start a turn, read just the head + first frame, then vanish.
     {
@@ -411,7 +423,7 @@ fn client_disconnect_mid_sse_leaves_the_session_healthy() {
     // cancelled synthesis run is never memoized is locked deterministically
     // by the in-process disconnect tests in `chatls::agent`.)
     assert_eq!(
-        service().pool().stats().builds,
+        svc.pool().stats().builds,
         builds_before,
         "a disconnect must never invalidate the pooled session template"
     );
