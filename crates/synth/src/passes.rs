@@ -8,8 +8,9 @@
 use crate::design::MappedDesign;
 use crate::timing_graph::TimingView;
 use chatls_liberty::Library;
-use chatls_verilog::netlist::{GateKind, InputList};
+use chatls_verilog::netlist::{Gate, GateKind, InputList, MAX_GATE_ARITY};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Statistics returned by a pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -173,60 +174,61 @@ pub fn const_propagate(design: &mut MappedDesign, library: &Library) -> PassStat
             if design.is_dead(gi) {
                 continue;
             }
-            let g = design.netlist.gates[gi].clone();
-            let cv: Vec<Option<bool>> = g.inputs.iter().map(|&i| constness[i as usize]).collect();
+            let (kind, inputs) = (design.netlist.gates[gi].kind, design.netlist.gates[gi].inputs);
+            let mut cv = [None; MAX_GATE_ARITY];
+            for (c, &i) in cv.iter_mut().zip(inputs.iter()) {
+                *c = constness[i as usize];
+            }
+            let buf = |i: usize| {
+                Some((GateKind::Buf, InputList::from_slice(&[inputs[i]]), buf_cell.as_str()))
+            };
+            let inv = |i: usize| {
+                Some((GateKind::Not, InputList::from_slice(&[inputs[i]]), inv_cell.as_str()))
+            };
+            let tie = |v: bool| {
+                Some((
+                    if v { GateKind::Const1 } else { GateKind::Const0 },
+                    InputList::default(),
+                    "",
+                ))
+            };
             // (new kind, new inputs, new cell)
-            let rewrite: Option<(GateKind, Vec<u32>, String)> = match g.kind {
+            let rewrite: Option<(GateKind, InputList, &str)> = match kind {
                 GateKind::And => match (cv[0], cv[1]) {
-                    (Some(false), _) | (_, Some(false)) => {
-                        Some((GateKind::Const0, vec![], String::new()))
-                    }
-                    (Some(true), _) => Some((GateKind::Buf, vec![g.inputs[1]], buf_cell.clone())),
-                    (_, Some(true)) => Some((GateKind::Buf, vec![g.inputs[0]], buf_cell.clone())),
+                    (Some(false), _) | (_, Some(false)) => tie(false),
+                    (Some(true), _) => buf(1),
+                    (_, Some(true)) => buf(0),
                     _ => None,
                 },
                 GateKind::Or => match (cv[0], cv[1]) {
-                    (Some(true), _) | (_, Some(true)) => {
-                        Some((GateKind::Const1, vec![], String::new()))
-                    }
-                    (Some(false), _) => Some((GateKind::Buf, vec![g.inputs[1]], buf_cell.clone())),
-                    (_, Some(false)) => Some((GateKind::Buf, vec![g.inputs[0]], buf_cell.clone())),
+                    (Some(true), _) | (_, Some(true)) => tie(true),
+                    (Some(false), _) => buf(1),
+                    (_, Some(false)) => buf(0),
                     _ => None,
                 },
                 GateKind::Xor => match (cv[0], cv[1]) {
-                    (Some(a), Some(b)) => Some((
-                        if a ^ b { GateKind::Const1 } else { GateKind::Const0 },
-                        vec![],
-                        String::new(),
-                    )),
-                    (Some(false), _) => Some((GateKind::Buf, vec![g.inputs[1]], buf_cell.clone())),
-                    (_, Some(false)) => Some((GateKind::Buf, vec![g.inputs[0]], buf_cell.clone())),
-                    (Some(true), _) => Some((GateKind::Not, vec![g.inputs[1]], inv_cell.clone())),
-                    (_, Some(true)) => Some((GateKind::Not, vec![g.inputs[0]], inv_cell.clone())),
+                    (Some(a), Some(b)) => tie(a ^ b),
+                    (Some(false), _) => buf(1),
+                    (_, Some(false)) => buf(0),
+                    (Some(true), _) => inv(1),
+                    (_, Some(true)) => inv(0),
                     (None, None) => None,
                 },
-                GateKind::Not => cv[0].map(|v| {
-                    (if v { GateKind::Const0 } else { GateKind::Const1 }, vec![], String::new())
-                }),
+                GateKind::Not => cv[0].and_then(|v| tie(!v)),
                 GateKind::Mux => match cv[0] {
-                    Some(false) => Some((GateKind::Buf, vec![g.inputs[1]], buf_cell.clone())),
-                    Some(true) => Some((GateKind::Buf, vec![g.inputs[2]], buf_cell.clone())),
-                    None => {
-                        // mux(s, a, a) = a
-                        if g.inputs[1] == g.inputs[2] {
-                            Some((GateKind::Buf, vec![g.inputs[1]], buf_cell.clone()))
-                        } else {
-                            None
-                        }
-                    }
+                    Some(false) => buf(1),
+                    Some(true) => buf(2),
+                    // mux(s, a, a) = a
+                    None if inputs[1] == inputs[2] => buf(1),
+                    None => None,
                 },
                 _ => None,
             };
             if let Some((kind, inputs, cell)) = rewrite {
                 let slot = &mut design.netlist.gates[gi];
                 slot.kind = kind;
-                slot.inputs = inputs.into();
-                design.cells[gi] = cell;
+                slot.inputs = inputs;
+                cell.clone_into(&mut design.cells[gi]);
                 stats.resized += 1;
                 changed = true;
             }
@@ -245,76 +247,209 @@ pub fn const_propagate(design: &mut MappedDesign, library: &Library) -> PassStat
 /// Bit-blasted arithmetic recomputes shared terms constantly (`a+b` used by
 /// two consumers lowers twice); this pass folds them. Commutative kinds
 /// hash with sorted inputs. Registers and protected gates are skipped.
+///
+/// Runs in rounds to a fixpoint: in each round the lowest-indexed gate of
+/// every key group keeps its key, every other member that does not drive a
+/// primary output dies, and each reader of a dead member's net (dead gates
+/// and register `enable`/`async_reset` pins included) is rewired to the
+/// keeper's net. The rounds are event-driven: groups persist, and a round
+/// re-keys only the gates whose pins the previous round rewired, so the
+/// pass is linear in gates plus rewired pins rather than in gates × rounds.
 pub fn strash(design: &mut MappedDesign) -> PassStats {
-    use std::collections::HashMap;
     let mut stats = PassStats::default();
-    loop {
-        let mut changed = false;
-        let primary_outputs: Vec<u32> = design.netlist.outputs.iter().map(|(_, id)| *id).collect();
-        let mut seen: HashMap<(GateKind, Vec<u32>), u32> = HashMap::new();
-        let mut replace: Vec<(u32, u32)> = Vec::new(); // (dup net, canonical net)
-        for gi in 0..design.netlist.gates.len() {
-            if design.is_dead(gi) {
-                continue;
-            }
-            let g = &design.netlist.gates[gi];
-            if g.kind.is_sequential() || g.dont_touch {
-                continue;
-            }
-            let mut key_inputs = g.inputs;
-            let commutative = matches!(
-                g.kind,
-                GateKind::And
-                    | GateKind::Or
-                    | GateKind::Xor
-                    | GateKind::Nand
-                    | GateKind::Nor
-                    | GateKind::Xnor
-            );
-            if commutative {
-                key_inputs.sort_unstable();
-            }
-            match seen.entry((g.kind, key_inputs.to_vec())) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(g.output);
-                }
-                std::collections::hash_map::Entry::Occupied(o) => {
-                    let canonical = *o.get();
-                    // A duplicate driving a primary output keeps its gate
-                    // (the output net needs a driver).
-                    if primary_outputs.contains(&g.output) {
-                        continue;
+    let gate_count = design.netlist.gates.len();
+    let mut groups = StrashGroups::default();
+    for gi in 0..gate_count {
+        if strash_member(design, gi) {
+            groups.join(strash_key(&design.netlist.gates[gi]), gi as u32);
+        }
+    }
+    let mut is_po = vec![false; design.netlist.nets.len()];
+    for (_, id) in &design.netlist.outputs {
+        is_po[*id as usize] = true;
+    }
+    let mut kills = Vec::new();
+    groups.fold(design, &is_po, &mut kills);
+    if kills.is_empty() {
+        return stats;
+    }
+
+    // Net → reader pins, as intrusive lists over pin slots
+    // (`gate * PIN_SLOTS + pin`); forwarding a net splices its whole list.
+    assert!(gate_count * PIN_SLOTS < NO_SLOT as usize, "too many gates for u32 pin slots");
+    let mut head = vec![NO_SLOT; is_po.len()];
+    let mut next = vec![NO_SLOT; gate_count * PIN_SLOTS];
+    for (gi, g) in design.netlist.gates.iter().enumerate() {
+        let pins = g.inputs.iter().copied().enumerate();
+        let pins = pins.chain(g.enable.map(|e| (ENABLE_PIN, e)));
+        for (pin, net) in pins.chain(g.async_reset.map(|r| (RESET_PIN, r))) {
+            let slot = gi * PIN_SLOTS + pin;
+            next[slot] = head[net as usize];
+            head[net as usize] = slot as u32;
+        }
+    }
+    // Round in which each gate's pins were last rewired.
+    let mut rewired_in = vec![0u32; gate_count];
+    let (mut round, mut moved, mut rewired) = (0u32, Vec::new(), Vec::new());
+    while !kills.is_empty() {
+        round += 1;
+        kills.sort_unstable();
+        for &(gi, _) in &kills {
+            design.kill(gi as usize);
+        }
+        stats.removed += kills.len();
+        // Detach every forwarded net's readers before moving any, so each
+        // pin moves once per round; the highest-indexed kill of a net wins.
+        moved.clear();
+        for &(gi, canonical) in kills.iter().rev() {
+            let dup = design.netlist.gates[gi as usize].output as usize;
+            moved.push((std::mem::replace(&mut head[dup], NO_SLOT), canonical));
+        }
+        rewired.clear();
+        for &(mut slot, canonical) in &moved {
+            while slot != NO_SLOT {
+                let (gi, pin) = (slot as usize / PIN_SLOTS, slot as usize % PIN_SLOTS);
+                if rewired_in[gi] != round {
+                    rewired_in[gi] = round;
+                    rewired.push(gi);
+                    if strash_member(design, gi) {
+                        groups.leave(strash_key(&design.netlist.gates[gi]), gi as u32);
                     }
-                    replace.push((g.output, canonical));
-                    design.kill(gi);
-                    stats.removed += 1;
-                    changed = true;
                 }
+                let g = &mut design.netlist.gates[gi];
+                match pin {
+                    ENABLE_PIN => g.enable = Some(canonical),
+                    RESET_PIN => g.async_reset = Some(canonical),
+                    _ => g.inputs[pin] = canonical,
+                }
+                let following = next[slot as usize];
+                next[slot as usize] = head[canonical as usize];
+                head[canonical as usize] = slot;
+                slot = following;
             }
         }
-        if !changed {
-            break;
+        for &gi in &rewired {
+            if strash_member(design, gi) {
+                groups.join(strash_key(&design.netlist.gates[gi]), gi as u32);
+            }
         }
-        let map: HashMap<u32, u32> = replace.into_iter().collect();
-        for g in design.netlist.gates.iter_mut() {
-            for inp in g.inputs.iter_mut() {
-                if let Some(&c) = map.get(inp) {
-                    *inp = c;
-                }
+        groups.fold(design, &is_po, &mut kills);
+    }
+    stats
+}
+
+/// A gate's structural-hash key: its kind and its inputs, sorted when the
+/// kind is commutative.
+type StrashKey = (GateKind, InputList);
+
+/// Pin slots per gate in `strash`'s reader lists: the inline inputs, then
+/// `enable` and `async_reset`.
+const ENABLE_PIN: usize = MAX_GATE_ARITY + 1;
+const RESET_PIN: usize = MAX_GATE_ARITY + 2;
+const PIN_SLOTS: usize = MAX_GATE_ARITY + 3;
+const NO_SLOT: u32 = u32::MAX;
+
+#[cfg(test)]
+thread_local! {
+    /// Strash keys computed on this thread: lets tests bound the pass's
+    /// work, undisturbed by tests running on other threads.
+    static STRASH_KEYS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// True for a live gate `strash` may merge: not sequential, not protected.
+fn strash_member(design: &MappedDesign, gi: usize) -> bool {
+    let g = &design.netlist.gates[gi];
+    !design.is_dead(gi) && !g.kind.is_sequential() && !g.dont_touch
+}
+
+fn strash_key(gate: &Gate) -> StrashKey {
+    #[cfg(test)]
+    STRASH_KEYS.with(|n| n.set(n.get() + 1));
+    let mut inputs = gate.inputs;
+    if matches!(
+        gate.kind,
+        GateKind::And
+            | GateKind::Or
+            | GateKind::Xor
+            | GateKind::Nand
+            | GateKind::Nor
+            | GateKind::Xnor
+    ) {
+        inputs.sort_unstable();
+    }
+    (gate.kind, inputs)
+}
+
+/// `strash`'s live gates grouped by key, kept across rounds.
+#[derive(Default)]
+struct StrashGroups {
+    /// The lowest-indexed member of every key.
+    keeper: HashMap<StrashKey, u32>,
+    /// The other members of keys that have several, in index order, and
+    /// whether the key is queued in `dirty`.
+    others: HashMap<StrashKey, (Vec<u32>, bool)>,
+    /// Keys that gained a member since they were last folded.
+    dirty: Vec<StrashKey>,
+}
+
+impl StrashGroups {
+    fn join(&mut self, key: StrashKey, gi: u32) {
+        let member = match self.keeper.entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(gi);
+                return;
             }
-            if let Some(e) = g.enable {
-                if let Some(&c) = map.get(&e) {
-                    g.enable = Some(c);
+            Entry::Occupied(mut o) if gi < *o.get() => o.insert(gi),
+            Entry::Occupied(_) => gi,
+        };
+        let (others, queued) = self.others.entry(key).or_default();
+        others.insert(others.partition_point(|&m| m < member), member);
+        if !*queued {
+            *queued = true;
+            self.dirty.push(key);
+        }
+    }
+
+    /// Removes gate `gi` from the group of `key`, its key before a rewire.
+    fn leave(&mut self, key: StrashKey, gi: u32) {
+        let Entry::Occupied(mut o) = self.others.entry(key) else {
+            self.keeper.remove(&key);
+            return;
+        };
+        let others = &mut o.get_mut().0;
+        if self.keeper[&key] == gi {
+            self.keeper.insert(key, others.remove(0));
+        } else if let Ok(at) = others.binary_search(&gi) {
+            others.remove(at);
+        }
+        if others.is_empty() {
+            o.remove();
+        }
+    }
+
+    /// Folds every queued key: each member but the keeper that does not
+    /// drive a primary output leaves the group and lands in `kills` as
+    /// `(gate, keeper's net)`.
+    fn fold(&mut self, design: &MappedDesign, is_po: &[bool], kills: &mut Vec<(u32, u32)>) {
+        kills.clear();
+        let gates = &design.netlist.gates;
+        for key in self.dirty.drain(..) {
+            let Entry::Occupied(mut o) = self.others.entry(key) else { continue };
+            let canonical = gates[self.keeper[&key] as usize].output;
+            let (others, queued) = o.get_mut();
+            *queued = false;
+            others.retain(|&m| {
+                let keep = is_po[gates[m as usize].output as usize];
+                if !keep {
+                    kills.push((m, canonical));
                 }
-            }
-            if let Some(r) = g.async_reset {
-                if let Some(&c) = map.get(&r) {
-                    g.async_reset = Some(c);
-                }
+                keep
+            });
+            if others.is_empty() {
+                o.remove();
             }
         }
     }
-    stats
 }
 
 /// Inverter absorption (technology remapping): merges `NOT(AND)` → NAND,
@@ -347,11 +482,11 @@ pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassSta
             if design.is_dead(gi) {
                 continue;
             }
-            let gate = design.netlist.gates[gi].clone();
+            let gate = &design.netlist.gates[gi];
             if gate.kind != GateKind::Not {
                 continue;
             }
-            let src_net = gate.inputs[0];
+            let (src_net, out) = (gate.inputs[0], gate.output);
             let inner_gi = match driver[src_net as usize] {
                 Some(g) => g,
                 None => continue,
@@ -359,14 +494,15 @@ pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassSta
             if design.is_dead(inner_gi) {
                 continue;
             }
-            let inner = design.netlist.gates[inner_gi].clone();
+            let inner = &design.netlist.gates[inner_gi];
             if inner.dont_touch
                 || sinks[src_net as usize].len() != 1
                 || primary_outputs.contains(&src_net)
             {
                 continue;
             }
-            let merged_kind = match inner.kind {
+            let (inner_kind, inner_inputs) = (inner.kind, inner.inputs);
+            let merged_kind = match inner_kind {
                 GateKind::And => GateKind::Nand,
                 GateKind::Or => GateKind::Nor,
                 GateKind::Xor => GateKind::Xnor,
@@ -375,8 +511,7 @@ pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassSta
                 GateKind::Xnor => GateKind::Xor,
                 // NOT(NOT(x)) — rewire sinks of the outer NOT to x.
                 GateKind::Not => {
-                    let x = inner.inputs[0];
-                    let out = gate.output;
+                    let x = inner_inputs[0];
                     if primary_outputs.contains(&out) {
                         // Keep a buffer to drive the output.
                         design.netlist.gates[gi].kind = GateKind::Buf;
@@ -409,7 +544,7 @@ pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassSta
             };
             // The outer NOT becomes the merged gate; the inner gate dies.
             design.netlist.gates[gi].kind = merged_kind;
-            design.netlist.gates[gi].inputs = inner.inputs;
+            design.netlist.gates[gi].inputs = inner_inputs;
             design.cells[gi] = cell;
             design.kill(inner_gi);
             stats.removed += 1;
@@ -1149,6 +1284,9 @@ mod tests {
         assert!(d.netlist.gates.iter().all(|g| g.path == "top" || g.path == "$const"));
     }
 }
+
+#[cfg(test)]
+mod strash_reference;
 
 #[cfg(test)]
 mod strash_tests {

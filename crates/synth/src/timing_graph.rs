@@ -161,9 +161,10 @@ pub struct TimingGraph {
     load_dirty: Vec<usize>,
     load_dirty_flag: Vec<bool>,
     /// Gate → index into `library.cells` (`u32::MAX` = unmapped/unknown).
-    /// `Library::cell` is a linear name scan; a session's library never
-    /// changes, so the persistent graph resolves each gate once per rebuild
-    /// and patches single entries on resize.
+    /// `Library::cell` hashes the name on every call (an Fx-hashed index,
+    /// `crates/liberty/src/model.rs`); a session's library never changes, so
+    /// the persistent graph resolves each gate once per rebuild and patches
+    /// single entries on resize.
     cell_idx: Vec<u32>,
     /// Per-library-cell input pin capacitances, in pin order.
     cell_input_caps: Vec<Vec<f64>>,

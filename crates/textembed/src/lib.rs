@@ -106,14 +106,15 @@ impl Embedder {
     /// Embeds a text into a unit-norm vector (all-zero for empty text).
     pub fn embed(&self, text: &str) -> Vec<f32> {
         let mut v = vec![0.0f32; self.dim];
-        let mut tf: HashMap<String, f32> = HashMap::new();
-        for term in terms(text) {
-            *tf.entry(term).or_insert(0.0) += 1.0;
-        }
-        for (term, count) in tf {
-            let idf = self.idf.get(&term).copied().unwrap_or(self.default_idf);
-            let weight = (1.0 + count.ln()) * idf;
-            let h = fnv1a(&term);
+        // Distinct terms in sorted order, so terms that share a bucket sum
+        // in the same order on every run.
+        let mut terms = terms(text);
+        terms.sort_unstable();
+        for run in terms.chunk_by(|a, b| a == b) {
+            let term = &run[0];
+            let idf = self.idf.get(term).copied().unwrap_or(self.default_idf);
+            let weight = (1.0 + (run.len() as f32).ln()) * idf;
+            let h = fnv1a(term);
             let bucket = (h % self.dim as u64) as usize;
             // Signed hashing reduces bucket-collision bias.
             let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
@@ -240,6 +241,22 @@ mod tests {
     fn embedding_is_deterministic() {
         let e = Embedder::fit(64, ["a b c", "c d e"]);
         assert_eq!(e.embed("a c e"), e.embed("a c e"));
+        // Four buckets for ~30 terms per text: every bucket sums many
+        // colliding terms, so a change in summation order shows in the bits.
+        let texts: Vec<String> = (0..40)
+            .map(|k| {
+                (0..15).map(|j| format!("w{}", (k * 7 + j * j) % 23)).collect::<Vec<_>>().join(" ")
+            })
+            .collect();
+        let e = Embedder::fit(4, texts.iter().map(String::as_str));
+        let bits = |t: &str| e.embed(t).iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let unstable: Vec<&String> = texts.iter().filter(|t| bits(t) != bits(t)).collect();
+        assert!(
+            unstable.is_empty(),
+            "{} of {} texts embed differently twice",
+            unstable.len(),
+            texts.len()
+        );
     }
 
     #[test]
