@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use chatls::cluster::{allocate_shard_ports, stop_child};
 use chatls::database::{DbConfig, ExpertDatabase};
-use chatls::{design_key_fn, ChatLsService, ShardIdentity};
+use chatls::{design_key_fn, ChatLsService};
 use chatls_serve::{ClusterConfig, ClusterRouter, ServeConfig, Server, ShardSpec};
 
 /// Designs in the request mix: three database designs plus a benchmark
@@ -253,21 +253,14 @@ fn closed_loop(addr: &str, threads: usize, per_thread: usize) -> (Duration, Vec<
 
 /// Hidden child mode behind `--shards`: one shard process, reached by
 /// the parent re-executing its own binary (the only portable way to
-/// find it outside a test harness). Builds its own quick database,
-/// joins the peer ring for QorCache hops, and serves until SIGTERM.
+/// find it outside a test harness). Builds its own quick database and
+/// serves until SIGTERM.
 fn run_shard_server() {
     let id: usize = arg("--shard-id", 0);
     let port: u16 = arg("--shard-port", 0);
-    let peers: String = arg("--peers", String::new());
-    let specs: Vec<ShardSpec> = peers
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .enumerate()
-        .map(|(id, addr)| ShardSpec { id, addr: addr.parse().expect("peer address") })
-        .collect();
     eprintln!("shard {id}: building expert database (quick)…");
     let db = ExpertDatabase::build(&DbConfig::quick());
-    let service = Arc::new(ChatLsService::new(db, 16).with_shard(ShardIdentity::new(id, specs)));
+    let service = Arc::new(ChatLsService::new(db, 16).with_shard(id));
     chatls_serve::install_signal_handlers();
     let config = ServeConfig {
         addr: format!("127.0.0.1:{port}"),
@@ -331,7 +324,6 @@ fn run_cluster_mode(shards: usize, smoke: bool) {
     let exe = std::env::current_exe().expect("own executable path");
     let ports = allocate_shard_ports(shards).expect("allocate shard ports");
     let peer_list: Vec<String> = ports.iter().map(|p| format!("127.0.0.1:{p}")).collect();
-    let peers_arg = peer_list.join(",");
     let mut children: Vec<Child> = ports
         .iter()
         .enumerate()
@@ -340,7 +332,6 @@ fn run_cluster_mode(shards: usize, smoke: bool) {
                 .arg("--shard-server")
                 .args(["--shard-id", &id.to_string()])
                 .args(["--shard-port", &port.to_string()])
-                .args(["--peers", &peers_arg])
                 .spawn()
                 .expect("spawn shard process")
         })

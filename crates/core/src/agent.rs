@@ -41,7 +41,7 @@ use chatls_serve::{json_escape, EventSink, Request, Response, SseWriter, TurnErr
 use chatls_synth::{CommandObserver, QorReport, TimingGraph};
 use serde::{Serialize, Value};
 
-use crate::eval::{design_fingerprint, QorCache};
+use crate::eval::{design_fingerprint, run_carried, QorCache};
 use crate::llm::{TaskContext, TimingSummary};
 use crate::pipeline::{ChatLs, PipelineEvent};
 use crate::service::{ChatLsService, PreparedDesign};
@@ -64,8 +64,7 @@ struct TurnState {
     /// Completed turns (the next turn's 0-based index).
     turns_done: u64,
     /// The previous turn's task context, its baseline rewritten from the
-    /// measured QoR — the serving twin of [`ChatLs::iterate`]'s feedback
-    /// loop.
+    /// measured run by the feedback rule [`ChatLs::iterate`] shares.
     task: Option<TaskContext>,
     /// The previous turn's timing graph, detached after the final
     /// synthesis run. Re-attached (and invalidated) on the next turn so
@@ -108,43 +107,29 @@ impl AgentSession {
         self.turns.lock().expect("agent session poisoned").graph.is_some()
     }
 
-    /// Runs `script` on a session stamped from the pinned template,
-    /// re-attaching the previous turn's timing graph (if any) and
-    /// streaming per-command [`chatls_synth::CommandEvent`]s through
-    /// `observer`. On success the timing graph is detached and stored
-    /// for the next turn; a cancelled run discards it with the aborted
-    /// session (truncated STA state must not survive).
-    fn run_with_carryover(
+    /// Runs `script` through the carried-graph run on the pinned
+    /// template, re-attaching the previous turn's timing graph (if any)
+    /// and streaming per-command [`chatls_synth::CommandEvent`]s through
+    /// `observer`. A completed run stores its timing graph for the next
+    /// turn and returns its QoR, validity and the next turn's baseline
+    /// ([`TimingSummary::from_run`]). A cancelled run discards the graph
+    /// with the aborted session (truncated STA state must not survive).
+    fn synthesize(
         &self,
         script: &str,
         cancel: &CancelToken,
         observer: CommandObserver,
-    ) -> Result<(QorReport, bool, Vec<String>, bool), Cancelled> {
-        let mut session = self.prepared.template().session();
+    ) -> Result<(QorReport, bool, TimingSummary), Cancelled> {
         let carried = self.turns.lock().expect("agent session poisoned").graph.take();
-        if let Some(graph) = carried {
-            session.attach_timing_graph(graph);
+        if carried.is_some() {
             chatls_obs::counter("serve.session.sta_carryover").inc();
         }
-        session.set_cancel_token(cancel.clone());
-        session.set_command_observer(Some(observer));
-        let result = session.run_script(script);
-        if result.was_cancelled() {
-            return Err(Cancelled);
-        }
-        let ok = result.ok();
-        let timing = session.timing_report();
-        let mut critical_modules = Vec::new();
-        for step in &timing.critical_path {
-            if !critical_modules.contains(&step.module_path) {
-                critical_modules.push(step.module_path.clone());
-            }
-        }
-        let starts_at_input =
-            timing.critical_path.first().map(|s| s.cell.is_empty()).unwrap_or(false);
+        let (qor, ok, mut session) =
+            run_carried(self.prepared.template(), script, carried, cancel, Some(observer))?;
+        let next = TimingSummary::from_run(&qor, &session.timing_report());
         self.turns.lock().expect("agent session poisoned").graph =
             Some(session.detach_timing_graph());
-        Ok((result.qor, ok, critical_modules, starts_at_input))
+        Ok((qor, ok, next))
     }
 }
 
@@ -419,9 +404,9 @@ impl ChatLsService {
         // streams one `qor_delta` per executed command through the
         // session's observer while this thread drains and emits them.
         let fp = design_fingerprint(&session.design);
-        // Hand-off slot for the critical-path summary computed inside the
+        // Hand-off slot for the next turn's baseline computed inside the
         // run closure, whose return type the cache fixes to `(QoR, ok)`.
-        let path_info: Mutex<Option<(Vec<String>, bool)>> = Mutex::new(None);
+        let fed: Mutex<Option<TimingSummary>> = Mutex::new(None);
         let (qor, ok, qor_source) = match QorCache::global().peek(fp, &script) {
             Some((qor, ok)) => {
                 emitter.emit(
@@ -438,13 +423,12 @@ impl ChatLsService {
                     });
                     let runner_cancel = turn_cancel.clone();
                     let script = &script;
-                    let path_info = &path_info;
+                    let fed = &fed;
                     let runner = scope.spawn(move || {
                         QorCache::global().get_or_run_cancellable(fp, script, || {
-                            session.run_with_carryover(script, &runner_cancel, observer).map(
-                                |(qor, ok, modules, from_input)| {
-                                    *path_info.lock().expect("path hand-off poisoned") =
-                                        Some((modules, from_input));
+                            session.synthesize(script, &runner_cancel, observer).map(
+                                |(qor, ok, next)| {
+                                    *fed.lock().expect("baseline hand-off poisoned") = Some(next);
                                     (qor, ok)
                                 },
                             )
@@ -472,25 +456,23 @@ impl ChatLsService {
             }
         };
 
-        // Feed the measured result back into the next turn's context
-        // (the serving twin of `ChatLs::iterate`): baseline becomes this
-        // turn's QoR and critical path, baseline_script this script. A
-        // cache-served QoR has no fresh path report; the previous one
-        // stands (the QoR pair is identical either way).
-        let (critical_modules, starts_at_input) =
-            path_info.lock().expect("path hand-off poisoned").take().unwrap_or_else(|| {
-                (task.baseline.critical_modules.clone(), task.baseline.starts_at_input)
-            });
-        {
-            let mut next = task.clone();
-            next.baseline = TimingSummary {
+        // Feed the measured result back into the next turn's context. A
+        // session adopts every turn as its next baseline (where
+        // `ChatLs::iterate` rejects a regressing round), and baseline_script
+        // becomes this script. A cache-served QoR has no fresh report, so
+        // the previous critical path stands.
+        let baseline = fed.into_inner().expect("baseline hand-off poisoned").unwrap_or_else(|| {
+            TimingSummary {
                 wns: qor.wns,
                 cps: qor.cps,
                 tns: qor.tns,
                 area: qor.area,
-                critical_modules,
-                starts_at_input,
-            };
+                ..task.baseline.clone()
+            }
+        });
+        {
+            let mut next = task.clone();
+            next.baseline = baseline;
             next.baseline_script = script.clone();
             let mut state = session.turns.lock().expect("agent session poisoned");
             state.turns_done = turn_index + 1;
@@ -907,6 +889,72 @@ mod tests {
         }
     }
 
+    /// The multi-turn feedback rule is shared: driven with one request and
+    /// seed, a session reproduces every round `ChatLs::iterate` adopted —
+    /// same script, bitwise-same QoR — turn for turn. The design is a
+    /// catalog design renamed for this test alone, so no other test shares
+    /// its QorCache keys. Its clock is tightened from 2.24 to 1.44 ns: there
+    /// it improves for three rounds without closing timing, so every turn
+    /// is fed back from a live run, and its later scripts depend on the
+    /// fed-back critical path, not only on the QoR.
+    #[test]
+    fn session_turns_replay_iterate_round_for_round() {
+        const SEED: u64 = 0;
+        let svc = &private_service();
+        let source = chatls_designs::by_name("dynamic_node").unwrap();
+        let top = format!("{}_feedback_probe", source.top);
+        let verilog = source.source.replacen(
+            &format!("module {}(", source.top),
+            &format!("module {top}("),
+            1,
+        );
+        let body = format!(
+            "{{\"verilog\": {}, \"top\": \"{top}\", \"period\": 1.44}}",
+            serde_json::to_string(&verilog).unwrap()
+        );
+        let design =
+            ChatLsService::resolve_design(&serde_json::parse_value(&body).unwrap()).unwrap();
+        let records =
+            ChatLs::new(svc.db()).iterate(&design, crate::service::DEFAULT_REQUEST, 3, SEED);
+        // A rejected (regressing) round is recorded as a copy of the round
+        // before it; it was never fed back and has no session twin.
+        let adopted = records
+            .iter()
+            .enumerate()
+            .take_while(|&(i, r)| i == 0 || r.script != records[i - 1].script)
+            .count();
+        assert!(adopted >= 2, "only {adopted} round(s) to compare: {records:?}");
+
+        let create = svc.handle(&post("/v1/session", &body), &never());
+        assert_eq!(create.status, 201, "{}", String::from_utf8_lossy(&create.body));
+        let id = parse(&create.body).get("session").and_then(|s| s.as_str()).unwrap().to_string();
+        for (turn, record) in records[..adopted].iter().enumerate() {
+            let mut sink = BufferSink::new();
+            let status = svc
+                .run_turn(&id, &format!("{{\"seed\": {SEED}}}"), &mut sink, &never())
+                .expect("claimed turn");
+            assert_eq!(status, 200, "turn {turn}: {:?}", sink.names());
+            let result = serde_json::parse_value(sink.data_of("result")[0]).unwrap();
+            assert_eq!(
+                result.get("qor_source").and_then(|q| q.as_str()),
+                Some("run"),
+                "turn {turn} must be fed back from a live run"
+            );
+            assert_eq!(
+                result.get("script").and_then(|s| s.as_str()),
+                Some(record.script.as_str()),
+                "turn {turn} diverged from iterate round {turn}"
+            );
+            let qor = result.get("qor").expect("result carries the QoR");
+            let bits = |key: &str| qor.get(key).and_then(|v| v.as_f64()).map(f64::to_bits);
+            assert_eq!(
+                [bits("wns"), bits("cps"), bits("area")],
+                [record.wns, record.cps, record.area].map(|x| Some(x.to_bits())),
+                "turn {turn} QoR differs from iterate round {turn}"
+            );
+        }
+    }
+
     /// Satellite: a synthesis run cancelled mid-script is never memoized
     /// and never donates its truncated timing graph to the next turn —
     /// the composition the SSE turn path relies on.
@@ -929,7 +977,7 @@ mod tests {
             }
         });
         let aborted = QorCache::global().get_or_run_cancellable(fp, script, || {
-            session.run_with_carryover(script, &cancel, observer).map(|(qor, ok, _, _)| (qor, ok))
+            session.synthesize(script, &cancel, observer).map(|(qor, ok, _)| (qor, ok))
         });
         assert!(aborted.is_err(), "mid-script cancellation must surface as Cancelled");
         assert!(!QorCache::global().contains(fp, script), "a truncated QoR must never be memoized");
@@ -937,11 +985,11 @@ mod tests {
         // A clean run afterwards succeeds and detaches its graph for the
         // next turn.
         let observer = CommandObserver::new(|_| {});
-        let (qor, ok, modules, _) =
-            session.run_with_carryover(script, &CancelToken::never(), observer).expect("clean run");
+        let (qor, ok, next) =
+            session.synthesize(script, &CancelToken::never(), observer).expect("clean run");
         assert!(ok);
         assert!(qor.area > 0.0);
-        assert!(!modules.is_empty());
+        assert!(!next.critical_modules.is_empty());
         assert!(session.has_carried_graph(), "a completed run carries its timing graph forward");
     }
 }

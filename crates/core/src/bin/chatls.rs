@@ -16,9 +16,8 @@
 //! `--shards N` switches `serve` into cluster mode: N shard processes
 //! (this same binary, each with its own warm session pool) behind a
 //! consistent-hash router that speaks the identical HTTP surface. The
-//! shard-side flags `--shard-id I`, `--shard-port P` and
-//! `--peers host:port,…` are internal — the supervisor passes them to
-//! the shard processes it spawns.
+//! shard-side flags `--shard-id I` and `--shard-port P` are internal —
+//! the supervisor passes them to the shard processes it spawns.
 //!
 //! Every subcommand also accepts the global `--telemetry-json <path>`
 //! (write the JSON telemetry document on exit) and `--quiet` (suppress
@@ -381,21 +380,11 @@ fn cmd_serve(rest: &[&str]) -> Result<(), String> {
     let no_warm = flag(rest, "--no-warm");
     let db = open_db(rest)?;
     let mut service = chatls::ChatLsService::new(db, max_sessions);
-    // Shard mode (spawned by the --shards supervisor): identify this
-    // shard and learn its siblings for the one-hop QorCache peer lookup.
+    // Shard mode (spawned by the --shards supervisor): /healthz and
+    // /v1/version report this shard's id.
     if let Some(id) = opt(rest, "--shard-id") {
         let id: usize = id.parse().map_err(|_| "--shard-id must be a number".to_string())?;
-        let peers = opt(rest, "--peers").ok_or("--shard-id needs --peers host:port,…")?;
-        let specs: Vec<chatls_serve::ShardSpec> = peers
-            .split(',')
-            .enumerate()
-            .map(|(id, a)| {
-                a.parse()
-                    .map(|addr| chatls_serve::ShardSpec { id, addr })
-                    .map_err(|_| format!("--peers entry '{a}' is not host:port"))
-            })
-            .collect::<Result<_, _>>()?;
-        service = service.with_shard(chatls::ShardIdentity::new(id, specs));
+        service = service.with_shard(id);
     }
     let service = std::sync::Arc::new(service);
     chatls_serve::install_signal_handlers();
@@ -438,7 +427,7 @@ fn cmd_mcp(rest: &[&str]) -> Result<(), String> {
 }
 
 /// `chatls serve --shards N`: the cluster supervisor. Spawns N shard
-/// processes (this same binary with `--shard-id`/`--shard-port`/`--peers`
+/// processes (this same binary with `--shard-id`/`--shard-port`
 /// appended and the cluster-level flags stripped), serves the
 /// consistent-hash router on the front address, and respawns shards that
 /// die. All other `serve` flags pass through to every shard.
@@ -464,12 +453,11 @@ fn cmd_serve_cluster(
         chatls::ClusterOpts { config, shards, cluster: chatls_serve::ClusterConfig::default() };
     chatls::run_cluster(
         opts,
-        move |id, port, peers| {
+        move |id, port| {
             std::process::Command::new(&exe)
                 .arg("serve")
                 .args(["--shard-id", &id.to_string()])
                 .args(["--shard-port", &port.to_string()])
-                .args(["--peers", peers])
                 .args(&forwarded)
                 .spawn()
         },

@@ -6,8 +6,8 @@
 //! process-level:
 //!
 //! - [`design_key_fn`] — the routing [`KeyFn`]: the same design
-//!   fingerprint the shards key their caches by, so the router's hash
-//!   ring and a shard's peer-hop ring agree on "who owns this design".
+//!   fingerprint the shards key their pools and caches by, so each
+//!   design's warm state lives on the one shard the ring sends it to.
 //! - [`run_cluster`] — the supervisor: allocates shard ports, spawns the
 //!   shard processes via a caller-supplied closure (the CLI re-execs
 //!   `chatls serve --shard-id …`; the bench harness re-execs itself),
@@ -134,30 +134,26 @@ pub struct ClusterOpts {
 }
 
 /// Runs a sharded cluster to completion: spawns `opts.shards` shard
-/// processes via `spawn` (called with the shard id, its port, and the
-/// comma-separated peer address list), serves the consistent-hash router
-/// on the front address, respawns shards that die, and tears everything
-/// down once the router drains (SIGTERM/SIGINT).
+/// processes via `spawn` (called with the shard id and its port), serves
+/// the consistent-hash router on the front address, respawns shards that
+/// die, and tears everything down once the router drains (SIGTERM/SIGINT).
 ///
 /// `banner` receives the bound front address for the startup log line.
 pub fn run_cluster(
     opts: ClusterOpts,
-    spawn: impl Fn(usize, u16, &str) -> std::io::Result<Child> + Send + 'static,
+    spawn: impl Fn(usize, u16) -> std::io::Result<Child> + Send + 'static,
     banner: impl FnOnce(SocketAddr),
 ) -> Result<(), String> {
     let ports =
         allocate_shard_ports(opts.shards).map_err(|e| format!("allocating shard ports: {e}"))?;
-    let peers: Vec<String> = ports.iter().map(|p| format!("127.0.0.1:{p}")).collect();
-    let peers_arg = peers.join(",");
-    let specs: Vec<ShardSpec> = peers
+    let specs: Vec<ShardSpec> = ports
         .iter()
         .enumerate()
-        .map(|(id, addr)| ShardSpec { id, addr: addr.parse().expect("loopback address parses") })
+        .map(|(id, port)| ShardSpec { id, addr: SocketAddr::from(([127, 0, 0, 1], *port)) })
         .collect();
     let mut children = Vec::with_capacity(opts.shards);
     for (id, port) in ports.iter().enumerate() {
-        let child =
-            spawn(id, *port, &peers_arg).map_err(|e| format!("spawning shard {id}: {e}"))?;
+        let child = spawn(id, *port).map_err(|e| format!("spawning shard {id}: {e}"))?;
         children.push(child);
     }
     let children = Arc::new(Mutex::new(children));
@@ -185,7 +181,7 @@ pub fn run_cluster(
                             if let Ok(Some(status)) = child.try_wait() {
                                 chatls_obs::counter("cluster.shard.respawns").inc();
                                 eprintln!("chatls serve: shard {id} exited ({status}), respawning");
-                                match spawn(id, ports[id], &peers_arg) {
+                                match spawn(id, ports[id]) {
                                     Ok(new_child) => *child = new_child,
                                     Err(e) => {
                                         eprintln!("chatls serve: respawning shard {id}: {e}")

@@ -13,7 +13,9 @@ use chatls_designs::GeneratedDesign;
 use chatls_exec::{fnv1a, CacheStats, CancelToken, Cancelled, ExecPool, ShardedCache};
 use chatls_liberty::nangate45;
 use chatls_obs::ObsCtx;
-use chatls_synth::{QorReport, SessionBuilder, SessionTemplate};
+use chatls_synth::{
+    CommandObserver, QorReport, SessionBuilder, SessionTemplate, SynthSession, TimingGraph,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -56,10 +58,9 @@ pub fn design_fingerprint(design: &GeneratedDesign) -> u64 {
 
 /// Canonical form of a script for cache keying.
 ///
-/// With semantic canonicalization on (env `CHATLS_SEMANTIC_CANON`,
-/// default on), scripts that ScriptIR proves runnable are normalized
-/// through [`chatls_lint::canonical_script`]: pure commands (aliases,
-/// reports, `write`) dropped, provably-dead and no-op constraint writes
+/// Scripts that ScriptIR proves runnable are normalized through
+/// [`chatls_lint::canonical_script`]: pure commands (aliases, reports,
+/// `write`) dropped, provably-dead and no-op constraint writes
 /// eliminated, commuting adjacent constraints sorted. Two scripts with
 /// the same semantic canonical form are *guaranteed* to produce
 /// bitwise-identical `(QoR, ok)` pairs (the differential oracle in
@@ -73,15 +74,14 @@ pub fn design_fingerprint(design: &GeneratedDesign) -> u64 {
 /// whole-line `#` comments dropped. The two key spaces cannot collide:
 /// a semantic key is itself a provable script, and provability is a
 /// function of the text — so no unprovable script's textual key can
-/// equal any semantic key.
+/// equal any semantic key. The `core.canon.semantic` and
+/// `core.canon.textual` counters record which form each call produced.
 pub fn canonicalize_script(script: &str) -> String {
-    if semantic_canon_enabled() {
-        if let Some(canon) = chatls_lint::canonical_script(script) {
-            chatls_obs::counter("core.canon.semantic").inc();
-            return canon;
-        }
-        chatls_obs::counter("core.canon.textual").inc();
+    if let Some(canon) = chatls_lint::canonical_script(script) {
+        chatls_obs::counter("core.canon.semantic").inc();
+        return canon;
     }
+    chatls_obs::counter("core.canon.textual").inc();
     let mut out = String::with_capacity(script.len());
     for line in script.lines() {
         let t = line.trim();
@@ -94,27 +94,15 @@ pub fn canonicalize_script(script: &str) -> String {
     out
 }
 
-/// Whether `CHATLS_SEMANTIC_CANON` enables semantic canonicalization
-/// (default on; `0`/`false`/`off`/`no` disable). Read once per process so
-/// a cache populated under one keying scheme is never queried under the
-/// other.
-fn semantic_canon_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("CHATLS_SEMANTIC_CANON") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    })
-}
-
 /// Memoized synthesis results: (design fingerprint, canonical script) →
 /// (QoR, valid). Sharded and lock-striped ([`ShardedCache`]), so parallel
 /// `pass_at_k` workers and concurrent bench sweeps share one cache
 /// without serializing on a single lock.
 ///
-/// Only *pure* script evaluations are cached — runs whose only outputs
-/// are the final QoR and the ok flag. Flows that also need the live
-/// session afterwards (timing reports for the feedback loop) bypass the
-/// cache.
+/// Only the `(QoR, ok)` pair of a run is cached, never the session it
+/// left behind. `ChatLs::iterate` needs every round's timing report, so
+/// it bypasses the cache; a session turn goes through it and, on a hit,
+/// keeps its previous critical path.
 pub struct QorCache {
     inner: ShardedCache<(u64, String), (QorReport, bool)>,
 }
@@ -135,8 +123,8 @@ impl QorCache {
         Self { inner: ShardedCache::named_bounded("core.qorcache", QOR_CACHE_CAPACITY) }
     }
 
-    /// The process-wide cache shared by [`run_script`] and the default
-    /// [`pass_at_k`] entry point.
+    /// The process-wide cache shared by the default [`pass_at_k`] entry
+    /// point and the serving layer.
     pub fn global() -> &'static QorCache {
         static GLOBAL: OnceLock<QorCache> = OnceLock::new();
         GLOBAL.get_or_init(QorCache::new)
@@ -204,18 +192,10 @@ impl QorCache {
 
     /// The cached `(QoR, ok)` for `script` on `fp`, or `None` — without
     /// running anything and without touching hit/miss counters or LRU
-    /// order. The internal `GET /v1/qor` peer-hop endpoint answers from
-    /// this: a peer serves only what it already has in memory.
+    /// order. A session turn peeks first, so a hit streams one
+    /// `qor_cached` event instead of per-command deltas.
     pub fn peek(&self, fp: u64, script: &str) -> Option<(QorReport, bool)> {
         self.inner.peek(&(fp, canonicalize_script(script)))
-    }
-
-    /// Seeds the cache with an externally computed result (a peer
-    /// shard's answer to `/v1/qor`). Evaluations are deterministic per
-    /// canonical key, so a concurrent local run inserting first is
-    /// equivalent.
-    pub fn insert(&self, fp: u64, script: &str, value: (QorReport, bool)) {
-        self.inner.get_or_insert_with((fp, canonicalize_script(script)), || value);
     }
 
     /// Drops all entries and zeroes the counters.
@@ -280,45 +260,54 @@ pub fn session_template_obs(design: &GeneratedDesign, obs: &ObsCtx) -> SessionTe
         .expect("library covers all primitive gates")
 }
 
-/// Runs a script on a session stamped from `template`; returns the QoR
-/// and whether the run was fully valid.
-pub fn run_script_in(template: &SessionTemplate, script: &str) -> (QorReport, bool) {
-    let result = template.session().run_script(script);
-    let ok = result.ok();
-    (result.qor, ok)
-}
-
-/// [`run_script_in`] honouring a cooperative cancel token: the stamped
-/// session checks it before every command and inside the long
-/// optimization passes. The pooled template itself is never mutated, so
-/// a cancelled run cannot poison later stamps.
+/// Runs `script` on a session stamped from `template`: the one synthesis
+/// run behind the served paths and both multi-turn loops
+/// ([`crate::pipeline::ChatLs::iterate`] and an agent session's turns).
+/// Returns the QoR, whether the whole script ran without error, and the
+/// session the run left behind, from which a multi-turn loop reads the
+/// timing report and detaches the timing graph for its next run.
+///
+/// - `carried` is the previous run's timing graph, when the loop kept
+///   one. It is re-attached invalidated, so only its allocations carry
+///   over and the QoR is bitwise the one a fresh stamp measures.
+/// - `cancel` is checked before every command and inside the long
+///   optimization passes. The template is never mutated, so a cancelled
+///   run cannot poison later stamps.
+/// - `observer` receives a [`chatls_synth::CommandEvent`] per executed
+///   command.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] when the token fired mid-run.
-pub fn run_script_in_cancellable(
+/// Returns [`Cancelled`] when the token fired mid-run; the aborted
+/// session, carried graph included, is dropped.
+pub(crate) fn run_carried(
     template: &SessionTemplate,
     script: &str,
+    carried: Option<TimingGraph>,
     cancel: &CancelToken,
-) -> Result<(QorReport, bool), Cancelled> {
+    observer: Option<CommandObserver>,
+) -> Result<(QorReport, bool, SynthSession), Cancelled> {
     let mut session = template.session();
+    if let Some(graph) = carried {
+        session.attach_timing_graph(graph);
+    }
     session.set_cancel_token(cancel.clone());
+    session.set_command_observer(observer);
     let result = session.run_script(script);
     if result.was_cancelled() {
         return Err(Cancelled);
     }
     let ok = result.ok();
-    Ok((result.qor, ok))
+    Ok((result.qor, ok, session))
 }
 
-/// Runs a script against a fresh session for the design; returns the QoR
-/// and whether the run was fully valid. Results are memoized in the
-/// global [`QorCache`] (script evaluation is pure, so a hit is
-/// indistinguishable from a re-run apart from being instant).
-pub fn run_script(design: &GeneratedDesign, script: &str) -> (QorReport, bool) {
-    QorCache::global().get_or_run(design_fingerprint(design), script, || {
-        run_script_in(&session_template(design), script)
-    })
+/// Runs a script on a session stamped from `template`; returns the QoR
+/// and whether the run was fully valid. The never-cancel, nothing-carried
+/// form of the run the serving layer and the multi-turn loops share.
+pub fn run_script_in(template: &SessionTemplate, script: &str) -> (QorReport, bool) {
+    let (qor, ok, _) = run_carried(template, script, None, &CancelToken::never(), None)
+        .expect("a never-token cannot cancel a run");
+    (qor, ok)
 }
 
 /// The Table III protocol: best of `k` customizations.

@@ -59,12 +59,12 @@ pub use circuit_mentor::{build_circuit_graph, detect_traits, CircuitMentor, Desi
 pub use cluster::{design_key_fn, run_cluster, ClusterOpts};
 pub use database::{DbConfig, ExpertDatabase};
 pub use eval::{
-    canonicalize_script, design_fingerprint, f1_score, pass_at_k, pass_at_k_on, run_script,
-    session_template, EvalRow, QorCache, RetrievalEval,
+    canonicalize_script, design_fingerprint, f1_score, pass_at_k, pass_at_k_on, session_template,
+    EvalRow, QorCache, RetrievalEval,
 };
 pub use llm::{claude_like, gpt_like, Generator, TaskContext};
 pub use pipeline::{baseline_script, prepare_task, ChatLs, ChatLsOutcome};
-pub use service::{ChatLsService, ShardIdentity};
+pub use service::ChatLsService;
 pub use synthexpert::{ExpertTrace, SynthExpert, ThoughtStep};
 pub use synthrag::SynthRag;
 

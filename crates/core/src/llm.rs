@@ -19,6 +19,7 @@
 //! All generators are deterministic per `(task, seed)`.
 
 use crate::circuit_mentor::DesignTraits;
+use chatls_synth::{QorReport, TimingReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -40,6 +41,32 @@ pub struct TimingSummary {
     /// True when the baseline critical path launches from a primary input
     /// (the external drive assumption throttles it).
     pub starts_at_input: bool,
+}
+
+impl TimingSummary {
+    /// The multi-turn feedback rule, shared by task preparation,
+    /// `ChatLs::iterate` and agent-session turns: the baseline the next
+    /// customization round sees after a synthesis run that measured `qor`
+    /// and reported `timing`. The critical modules are the module paths
+    /// along `timing`'s critical path, de-duplicated in first-seen order;
+    /// `starts_at_input` is set when that path launches from a primary
+    /// input (its first step has no driving cell).
+    pub(crate) fn from_run(qor: &QorReport, timing: &TimingReport) -> Self {
+        let mut critical_modules: Vec<String> = Vec::new();
+        for step in &timing.critical_path {
+            if !critical_modules.contains(&step.module_path) {
+                critical_modules.push(step.module_path.clone());
+            }
+        }
+        Self {
+            wns: qor.wns,
+            cps: qor.cps,
+            tns: qor.tns,
+            area: qor.area,
+            critical_modules,
+            starts_at_input: timing.critical_path.first().is_some_and(|s| s.cell.is_empty()),
+        }
+    }
 }
 
 /// Everything a generator sees when customizing a script.

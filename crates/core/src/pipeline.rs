@@ -18,6 +18,7 @@ use std::sync::OnceLock;
 
 use crate::circuit_mentor::{build_circuit_graph, detect_traits};
 use crate::database::{DesignHit, ExpertDatabase};
+use crate::eval::run_carried;
 use crate::llm::{Generator, OneShot, OneShotProfile, TaskContext, TimingSummary};
 use crate::synthexpert::{ExpertTrace, SynthExpert};
 use crate::synthrag::SynthRag;
@@ -78,38 +79,16 @@ pub fn prepare_task_in(
     let _span = if obs.is_enabled() { Some(obs.span("core.prepare_task")) } else { None };
     cancel.checkpoint()?;
     let traits = detect_traits(&template.design().netlist);
-    let mut session = template.session();
-    session.set_cancel_token(cancel.clone());
     let script = baseline_script(design.default_period);
-    let result = session.run_script(&script);
-    if result.was_cancelled() {
-        return Err(Cancelled);
-    }
+    let (qor, _, mut session) = run_carried(template, &script, None, cancel, None)?;
     let timing = session.timing_report();
-    let critical_modules: Vec<String> = {
-        let mut seen = Vec::new();
-        for step in &timing.critical_path {
-            if !seen.contains(&step.module_path) {
-                seen.push(step.module_path.clone());
-            }
-        }
-        seen
-    };
-    let starts_at_input = timing.critical_path.first().map(|s| s.cell.is_empty()).unwrap_or(false);
     Ok(TaskContext {
         design_name: design.name.clone(),
         period: design.default_period,
         baseline_script: script,
         user_request: user_request.to_string(),
         traits,
-        baseline: TimingSummary {
-            wns: result.qor.wns,
-            cps: result.qor.cps,
-            tns: result.qor.tns,
-            area: result.qor.area,
-            critical_modules,
-            starts_at_input,
-        },
+        baseline: TimingSummary::from_run(&qor, &timing),
         timing_lint: chatls_lint::lint_timing(&timing).diagnostics,
     })
 }
@@ -317,9 +296,13 @@ impl<'db> ChatLs<'db> {
     /// back, and customize again, up to `iterations` rounds or until timing
     /// closes.
     ///
-    /// Each round rebuilds the task context from the *previous round's*
-    /// report, so later rounds see the updated critical path and slack —
-    /// the feedback loop the paper's Fig. 2 shows from the tool reports.
+    /// Each round's baseline is the previous round's run, condensed by the
+    /// feedback rule an agent session's turns share, so later rounds see
+    /// the updated critical path and slack — the feedback loop the paper's
+    /// Fig. 2 shows from the tool reports. Rounds synthesize through the
+    /// session's carried-graph run. The loop's own policy is best-so-far:
+    /// a round that regresses is rejected and ends the loop, where a
+    /// session adopts every turn.
     pub fn iterate(
         &self,
         design: &GeneratedDesign,
@@ -327,22 +310,23 @@ impl<'db> ChatLs<'db> {
         iterations: usize,
         seed: u64,
     ) -> Vec<IterationRecord> {
-        let mut records: Vec<IterationRecord> = Vec::new();
-        let mut task = prepare_task(design, user_request);
-        // One elaboration + mapping for the whole loop; each round stamps
-        // a pristine session from the shared template.
+        let never = CancelToken::never();
+        // One elaboration + mapping for the whole loop; the baseline and
+        // every round stamp sessions from the shared template.
         let template = crate::eval::session_template(design);
+        let mut task = prepare_task_in(design, user_request, &template, &never)
+            .expect("a never-token cannot cancel task preparation");
+        let mut records: Vec<IterationRecord> = Vec::new();
+        let mut graph = None;
         for iteration in 0..iterations {
-            let outcome = self.customize(design, &task, seed + iteration as u64);
-            let script = outcome.trace.script.clone();
-            let mut session = template.session();
-            let result = session.run_script(&script);
-            let timing = session.timing_report();
+            let script = self.customize(design, &task, seed + iteration as u64).trace.script;
+            let (qor, _, mut session) = run_carried(&template, &script, graph.take(), &never, None)
+                .expect("a never-token cannot cancel a run");
             // Best-so-far semantics: a round that regresses is rejected and
             // the flow keeps the previous script (and stops — the
             // escalation ladder has nothing better to offer).
             if let Some(prev) = records.last() {
-                if result.qor.cps < prev.cps {
+                if qor.cps < prev.cps {
                     let mut keep = prev.clone();
                     keep.iteration = iteration;
                     records.push(keep);
@@ -352,36 +336,17 @@ impl<'db> ChatLs<'db> {
             records.push(IterationRecord {
                 iteration,
                 script: script.clone(),
-                wns: result.qor.wns,
-                cps: result.qor.cps,
-                area: result.qor.area,
+                wns: qor.wns,
+                cps: qor.cps,
+                area: qor.area,
             });
-            if result.qor.wns >= 0.0 {
+            if qor.wns >= 0.0 {
                 break;
             }
             // Feed the new report back into the next round's context.
-            let critical_modules: Vec<String> = {
-                let mut seen = Vec::new();
-                for step in &timing.critical_path {
-                    if !seen.contains(&step.module_path) {
-                        seen.push(step.module_path.clone());
-                    }
-                }
-                seen
-            };
-            task.baseline = TimingSummary {
-                wns: result.qor.wns,
-                cps: result.qor.cps,
-                tns: result.qor.tns,
-                area: result.qor.area,
-                critical_modules,
-                starts_at_input: timing
-                    .critical_path
-                    .first()
-                    .map(|s| s.cell.is_empty())
-                    .unwrap_or(false),
-            };
-            task.baseline_script = script.clone();
+            task.baseline = TimingSummary::from_run(&qor, &session.timing_report());
+            task.baseline_script = script;
+            graph = Some(session.detach_timing_graph());
         }
         records
     }

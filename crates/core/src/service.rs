@@ -28,15 +28,13 @@
 //! single-flight: concurrent cold requests for one design coalesce onto a
 //! single template build, and [`ChatLsService::spawn_warmer`] pre-builds
 //! the benchmark catalog in the background at startup (rate-limited,
-//! cancelled on drain) and re-warms catalog entries evicted under
-//! pressure. The per-design task cache is itself LRU-bounded
+//! cancelled on drain). The per-design task cache is itself LRU-bounded
 //! ([`TASK_CACHE_CAP`]): request strings are client-supplied and must not
 //! grow daemon memory without bound. Pooled state is immutable (sessions
 //! stamp copy-on-write snapshots per request); a deadline that fires
 //! mid-request aborts that request only and cannot poison the pool.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -44,14 +42,14 @@ use chatls_designs::GeneratedDesign;
 use chatls_exec::{CancelToken, Cancelled, ExecPool};
 use chatls_obs::ObsCtx;
 use chatls_serve::{
-    percent_encode, read_response, version_payload, AppHandler, HashRing, PoolError, Request,
-    Response, Router, SessionPool, SessionRegistry, ShardSpec, PROTOCOL_VERSION,
+    version_payload, AppHandler, PoolError, Request, Response, Router, SessionPool,
+    SessionRegistry, PROTOCOL_VERSION,
 };
 use chatls_synth::{QorReport, SessionBuilder, SessionTemplate};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::database::ExpertDatabase;
-use crate::eval::{design_fingerprint, run_script_in_cancellable, QorCache};
+use crate::eval::{design_fingerprint, run_carried, QorCache};
 use crate::llm::TaskContext;
 use crate::pipeline::{prepare_task_in, ChatLs};
 
@@ -126,49 +124,6 @@ impl PreparedDesign {
     }
 }
 
-/// Connect timeout for the one-hop QorCache peer lookup. Deliberately
-/// tight: a peer probe is an optimization (skip one synthesis run), so a
-/// slow peer must cost less than the synthesis it might have saved.
-const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(150);
-
-/// Read/write timeout for the peer lookup, same rationale.
-const PEER_IO_TIMEOUT: Duration = Duration::from_millis(400);
-
-/// Which shard of a cluster this process is and where its siblings
-/// listen. Drives the shard-aware bits of the service: the `/healthz` and
-/// `/v1/version` identity fields, and the one-hop QorCache peer lookup
-/// (on a local miss, ask the shard the cluster router would have hashed
-/// the design to — it has the best odds of holding the entry).
-pub struct ShardIdentity {
-    /// This process's shard id.
-    pub id: usize,
-    /// Every shard in the cluster (including this one), id → address.
-    shards: Vec<ShardSpec>,
-    /// The same ring the cluster router routes with, so "who probably
-    /// has this key" agrees between router and shards.
-    ring: HashRing,
-}
-
-impl ShardIdentity {
-    /// Identity for shard `id` within the full cluster listing `shards`
-    /// (which includes this shard itself).
-    pub fn new(id: usize, shards: Vec<ShardSpec>) -> Self {
-        let ring = HashRing::new(shards.len().max(1));
-        Self { id, shards, ring }
-    }
-
-    /// The sibling shard most likely to hold cache entries for `key`:
-    /// the highest-preference ring position that is not this shard.
-    pub fn peer_for(&self, key: u64) -> Option<SocketAddr> {
-        self.ring
-            .preference(key)
-            .into_iter()
-            .find(|id| *id != self.id)
-            .and_then(|id| self.shards.iter().find(|s| s.id == id))
-            .map(|s| s.addr)
-    }
-}
-
 /// The application handler behind `chatls serve`.
 pub struct ChatLsService {
     db: ExpertDatabase,
@@ -177,8 +132,9 @@ pub struct ChatLsService {
     sessions: SessionRegistry<crate::agent::AgentSession>,
     /// The declarative endpoint table, built once at construction.
     routes: Router<Self>,
-    /// Cluster identity; `None` for a standalone daemon.
-    shard: Option<ShardIdentity>,
+    /// This process's shard id in a cluster; `None` for a standalone
+    /// daemon.
+    shard: Option<usize>,
 }
 
 /// Default user request, matching the `chatls customize` CLI default so
@@ -189,12 +145,6 @@ pub(crate) const DEFAULT_REQUEST: &str = "optimize timing at the fixed clock";
 /// CPU-bound (~hundreds of ms each); the gap keeps the warmer from
 /// monopolizing cores that request-serving workers need.
 const WARM_STARTUP_PACE: Duration = Duration::from_millis(25);
-
-/// Pause between eviction-driven re-warm builds (and the poll interval of
-/// the re-warm loop). Deliberately much coarser than the startup pace: at
-/// most one rebuild per interval bounds the churn when eviction pressure
-/// is continuous, so an eviction storm cannot become a build storm.
-const WARM_REWARM_PACE: Duration = Duration::from_millis(1_000);
 
 /// Builds the pooled warm state for one design: the mapped
 /// [`SessionTemplate`] plus an empty task cache.
@@ -228,46 +178,25 @@ fn sleep_cancellable(cancel: &CancelToken, total: Duration) -> bool {
 
 /// The speculative warming loop behind [`ChatLsService::spawn_warmer`],
 /// split out (pool + explicit catalog) so tests can drive it with tiny
-/// inline designs and fast paces.
+/// inline designs and a fast pace.
 ///
-/// Phase 1 pre-builds the catalog — at most `pool.capacity()` entries, so
-/// warming can never evict its own work — pausing `startup_pace` between
-/// builds. Phase 2 polls the pool's eviction log every `rewarm_pace` and
-/// rebuilds evicted *catalog* designs (client-supplied inline designs are
-/// not re-warmed: their fingerprints are not in the catalog map), again
-/// at most one build per pace interval.
+/// Pre-builds the catalog — at most `pool.capacity()` entries, so warming
+/// can never evict its own work — pausing `pace` between builds, then
+/// returns. Entries evicted later are rebuilt by the next request that
+/// needs them.
 pub fn run_pool_warmer(
     pool: &SessionPool<PreparedDesign, Response>,
     catalog: &[GeneratedDesign],
     cancel: &CancelToken,
-    startup_pace: Duration,
-    rewarm_pace: Duration,
+    pace: Duration,
 ) {
-    let catalog: Vec<&GeneratedDesign> = catalog.iter().take(pool.capacity()).collect();
-    let by_fp: HashMap<u64, &GeneratedDesign> =
-        catalog.iter().map(|d| (design_fingerprint(d), *d)).collect();
-    for design in &catalog {
+    for design in catalog.iter().take(pool.capacity()) {
         if cancel.is_cancelled() {
             return;
         }
         pool.warm(design_fingerprint(design), || build_prepared(design));
-        if sleep_cancellable(cancel, startup_pace) {
+        if sleep_cancellable(cancel, pace) {
             return;
-        }
-    }
-    loop {
-        if sleep_cancellable(cancel, rewarm_pace) {
-            return;
-        }
-        for fp in pool.drain_evicted() {
-            let Some(design) = by_fp.get(&fp) else { continue };
-            if cancel.is_cancelled() {
-                return;
-            }
-            pool.warm(fp, || build_prepared(design));
-            if sleep_cancellable(cancel, rewarm_pace) {
-                return;
-            }
         }
     }
 }
@@ -311,13 +240,6 @@ struct LintRejectionDetails {
     diagnostics: Vec<chatls_lint::Diagnostic>,
 }
 
-/// The `GET /v1/qor` payload (and what the peer hop parses back).
-#[derive(Serialize, Deserialize)]
-struct QorPeekPayload {
-    ok: bool,
-    qor: QorReport,
-}
-
 impl ChatLsService {
     /// A service over `db`, pooling at most `max_sessions` prepared
     /// designs.
@@ -334,11 +256,10 @@ impl ChatLsService {
         }
     }
 
-    /// Marks this service as one shard of a cluster: `/healthz` and
-    /// `/v1/version` report the shard id, and QorCache misses take one
-    /// peer hop before synthesizing.
-    pub fn with_shard(mut self, shard: ShardIdentity) -> Self {
-        self.shard = Some(shard);
+    /// Marks this service as shard `id` of a cluster: `/healthz` and
+    /// `/v1/version` report the id.
+    pub fn with_shard(mut self, id: usize) -> Self {
+        self.shard = Some(id);
         self
     }
 
@@ -453,20 +374,18 @@ impl ChatLsService {
     }
 
     /// Spawns the speculative warmer thread: pre-builds the full
-    /// serveable catalog — database designs first (the common request
-    /// targets), then benchmarks — rate-limited so warming never starves
-    /// request-serving workers, then re-warms catalog entries evicted
-    /// under pressure. Fire `cancel` (the CLI does so once the server
-    /// drains) to stop it; the thread exits at the next build boundary.
+    /// serveable catalog at startup — database designs first (the common
+    /// request targets), then benchmarks — rate-limited so warming never
+    /// starves request-serving workers. Fire `cancel` (the CLI does so
+    /// once the server drains) to stop it early; the thread exits at the
+    /// next build boundary.
     pub fn spawn_warmer(&self, cancel: CancelToken) -> std::thread::JoinHandle<()> {
         let pool = self.pool.clone();
         let mut catalog = chatls_designs::database_designs();
         catalog.extend(chatls_designs::benchmarks());
         std::thread::Builder::new()
             .name("chatls-warmer".into())
-            .spawn(move || {
-                run_pool_warmer(&pool, &catalog, &cancel, WARM_STARTUP_PACE, WARM_REWARM_PACE)
-            })
+            .spawn(move || run_pool_warmer(&pool, &catalog, &cancel, WARM_STARTUP_PACE))
             .expect("spawn pool warmer thread")
     }
 
@@ -510,10 +429,10 @@ impl ChatLsService {
             .try_customize(&design, prepared.embedding(), &task, seed, cancel, &mut |_| {})
             .map_err(|Cancelled| deadline_resp("script customization"))?;
         let fp = design_fingerprint(&design);
-        self.seed_qor_from_peer(fp, outcome.script());
         let (qor, _ok) = QorCache::global()
             .get_or_run_cancellable(fp, outcome.script(), || {
-                run_script_in_cancellable(&prepared.template, outcome.script(), cancel)
+                run_carried(&prepared.template, outcome.script(), None, cancel, None)
+                    .map(|(qor, ok, _)| (qor, ok))
             })
             .map_err(|Cancelled| deadline_resp("final synthesis"))?;
         Ok(CustomizeResponse {
@@ -608,21 +527,13 @@ impl ChatLsService {
             Err(resp) => return resp,
         };
         let fp = design_fingerprint(&design);
-        // One peer hop per locally-missing script before fanning out; a
-        // transport failure stops further attempts for this request (a
-        // down peer must not cost one timeout per script).
-        for script in &scripts {
-            if !self.seed_qor_from_peer(fp, script) {
-                break;
-            }
-        }
         // Batch: fan the scripts out on the global pool; each evaluation
         // is memoized in the global QorCache. Index-ordered results keep
         // the response aligned with the request array.
         let template = &prepared.template;
         let runs = ExecPool::global().run_cancellable(cancel, scripts.len(), |i| {
             QorCache::global().get_or_run_cancellable(fp, &scripts[i], || {
-                run_script_in_cancellable(template, &scripts[i], cancel)
+                run_carried(template, &scripts[i], None, cancel, None).map(|(qor, ok, _)| (qor, ok))
             })
         });
         let results: Result<Vec<EvalResult>, Cancelled> = match runs {
@@ -682,8 +593,8 @@ impl ChatLsService {
 
     fn handle_healthz(&self, _req: &Request, _cancel: &CancelToken) -> Response {
         let designs = chatls_designs::benchmarks().len() + chatls_designs::database_designs().len();
-        let shard = match &self.shard {
-            Some(s) => s.id.to_string(),
+        let shard = match self.shard {
+            Some(id) => id.to_string(),
             None => "null".to_string(),
         };
         Response::json(
@@ -712,103 +623,17 @@ impl ChatLsService {
     /// before admitting a shard to the ring — and only `protocol`, so
     /// capabilities it does not recognize never fail the handshake.
     fn handle_version(&self, _req: &Request, _cancel: &CancelToken) -> Response {
-        let (label, caps): (String, &[&str]) = match &self.shard {
-            Some(s) => (s.id.to_string(), &["mcp", "sessions", "cluster"]),
+        let (label, caps): (String, &[&str]) = match self.shard {
+            Some(id) => (id.to_string(), &["mcp", "sessions", "cluster"]),
             None => ("standalone".to_string(), &["mcp", "sessions"]),
         };
         Response::json(200, version_payload(&label, PROTOCOL_VERSION, caps))
-    }
-
-    /// `GET /v1/qor?fp=<hex>&script=<pct-encoded>`: answers from the
-    /// local QorCache only — a peek, never a synthesis run and **never a
-    /// further peer hop** (the one-hop rule that keeps cluster lookups
-    /// from cascading). Internal: shards ask each other; clients normally
-    /// go through `/v1/eval`.
-    fn handle_qor(&self, req: &Request, _cancel: &CancelToken) -> Response {
-        let Some(fp) = req.query_param("fp").and_then(|v| u64::from_str_radix(&v, 16).ok()) else {
-            return Response::error(400, "bad_request", "query needs fp=<hex fingerprint>");
-        };
-        let Some(script) = req.query_param("script") else {
-            return Response::error(400, "bad_request", "query needs script=<pct-encoded script>");
-        };
-        match QorCache::global().peek(fp, &script) {
-            Some((qor, ok)) => {
-                chatls_obs::counter("core.qor.peek_hits").inc();
-                match serde_json::to_string(&QorPeekPayload { ok, qor }) {
-                    Ok(json) => Response::json(200, json),
-                    Err(e) => internal_error(&e),
-                }
-            }
-            None => {
-                chatls_obs::counter("core.qor.peek_misses").inc();
-                Response::error(404, "not_cached", "no cached QoR for this (design, script)")
-            }
-        }
-    }
-
-    /// One-hop QorCache peer lookup: on a local miss (and only in
-    /// cluster mode), ask the sibling shard the ring would have routed
-    /// this design to whether it has the entry, and seed the local cache
-    /// on a hit. Returns `false` when further lookups in the same
-    /// request should stop (peer transport failure — a down peer must
-    /// cost one timeout, not one per script).
-    fn seed_qor_from_peer(&self, fp: u64, script: &str) -> bool {
-        let Some(shard) = &self.shard else { return false };
-        if QorCache::global().peek(fp, script).is_some() {
-            return true;
-        }
-        let Some(addr) = shard.peer_for(fp) else { return false };
-        match fetch_peer_qor(addr, fp, script) {
-            Ok(Some(value)) => {
-                chatls_obs::counter("core.qor.peer_hits").inc();
-                QorCache::global().insert(fp, script, value);
-                true
-            }
-            Ok(None) => {
-                chatls_obs::counter("core.qor.peer_misses").inc();
-                true
-            }
-            Err(_) => {
-                chatls_obs::counter("core.qor.peer_errors").inc();
-                false
-            }
-        }
     }
 }
 
 /// Uniform 500 envelope for response-serialization failures.
 fn internal_error(err: &dyn std::fmt::Display) -> Response {
     Response::error(500, "internal", &format!("response serialization: {err}"))
-}
-
-/// `GET /v1/qor` against a sibling shard. `Ok(Some(..))` is a cache hit,
-/// `Ok(None)` a clean miss (or any non-200 answer — the peer being
-/// rate-limited or restarting is not a hit), `Err` a transport failure.
-fn fetch_peer_qor(
-    addr: SocketAddr,
-    fp: u64,
-    script: &str,
-) -> std::io::Result<Option<(QorReport, bool)>> {
-    let mut stream = TcpStream::connect_timeout(&addr, PEER_CONNECT_TIMEOUT)?;
-    stream.set_read_timeout(Some(PEER_IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(PEER_IO_TIMEOUT))?;
-    let req = Request {
-        method: "GET".to_string(),
-        path: "/v1/qor".to_string(),
-        query: format!("fp={fp:x}&script={}", percent_encode(script)),
-        ..Default::default()
-    };
-    req.write_to(&mut stream)?;
-    let resp = read_response(&mut stream)?;
-    if resp.status != 200 {
-        return Ok(None);
-    }
-    let body = String::from_utf8_lossy(&resp.body).into_owned();
-    match serde_json::from_str::<QorPeekPayload>(&body) {
-        Ok(payload) => Ok(Some((payload.qor, payload.ok))),
-        // A peer speaking garbage is a miss, not a poisoned cache entry.
-        Err(_) => Ok(None),
-    }
 }
 
 impl AppHandler for ChatLsService {
@@ -818,7 +643,6 @@ impl AppHandler for ChatLsService {
             .get("/metrics", "metrics", Self::handle_metrics)
             .get("/telemetry", "telemetry", Self::handle_telemetry)
             .get("/v1/version", "version", Self::handle_version)
-            .get("/v1/qor", "qor", Self::handle_qor)
             .post("/v1/customize", "customize", Self::handle_customize)
             .post("/v1/eval", "eval", Self::handle_eval)
             .post("/v1/lint", "lint", Self::handle_lint)
@@ -1240,11 +1064,10 @@ mod tests {
         );
     }
 
-    /// The warmer loop pre-builds its catalog and re-warms evicted
-    /// catalog entries — driven here with tiny inline designs, a private
-    /// pool and fast paces.
+    /// The warmer pre-builds its catalog and returns — driven here with
+    /// tiny inline designs, a private pool and a fast pace.
     #[test]
-    fn pool_warmer_prebuilds_and_rewarms_evictions() {
+    fn pool_warmer_prebuilds_the_catalog() {
         let gen = |name: &str| GeneratedDesign {
             name: format!("warmprobe_{name}"),
             category: chatls_designs::Category::VectorArithmetic,
@@ -1258,48 +1081,9 @@ mod tests {
         };
         let catalog = vec![gen("a"), gen("b")];
         let pool: SessionPool<PreparedDesign, Response> = SessionPool::new(2);
-        let cancel = CancelToken::new();
-        let warmer = {
-            let pool = pool.clone();
-            let catalog = catalog.clone();
-            let cancel = cancel.clone();
-            std::thread::spawn(move || {
-                run_pool_warmer(
-                    &pool,
-                    &catalog,
-                    &cancel,
-                    Duration::from_millis(1),
-                    Duration::from_millis(10),
-                )
-            })
-        };
-        let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while !cond() {
-                assert!(Instant::now() < deadline, "timed out waiting for {what}");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        };
-        wait_for("startup warming", &|| pool.stats().warmed >= 2);
+        run_pool_warmer(&pool, &catalog, &CancelToken::new(), Duration::from_millis(1));
+        assert_eq!(pool.stats().warmed, 2);
         assert_eq!(pool.len(), 2);
-        // Push a non-catalog design through the full pool: one catalog
-        // entry is evicted, and the warmer must bring it back.
-        let intruder = gen("intruder");
-        pool.get_or_build(design_fingerprint(&intruder), || build_prepared(&intruder)).unwrap();
-        wait_for("eviction re-warm", &|| pool.stats().warmed >= 3);
-        cancel.cancel();
-        warmer.join().unwrap();
-        // Both catalog designs must be resident again (the re-warm may
-        // have evicted the intruder; catalog entries win).
-        let catalog_resident = catalog
-            .iter()
-            .filter(|d| {
-                let (_, hit) =
-                    pool.get_or_build(design_fingerprint(d), || build_prepared(d)).unwrap();
-                hit
-            })
-            .count();
-        assert!(catalog_resident >= 1, "re-warmed catalog entry must be resident");
     }
 
     #[test]
@@ -1384,90 +1168,5 @@ mod tests {
         let v = serde_json::parse_value(&String::from_utf8(resp.body).unwrap()).unwrap();
         assert_eq!(v.get("pid").and_then(|p| p.as_u64()), Some(std::process::id() as u64));
         assert!(v.get("shard").unwrap().is_null(), "standalone daemon reports shard: null");
-    }
-
-    /// `GET /v1/qor` peeks the cache: hit after an eval populated it,
-    /// enveloped 404 before.
-    #[test]
-    fn qor_endpoint_peeks_without_synthesizing() {
-        let svc = service();
-        let verilog = "module qorpeek_probe(input clk, input a, output reg y); \
-                       always @(posedge clk) y <= ~a; endmodule";
-        let script = "create_clock -period 1.2 [get_ports clk]\ncompile\n";
-        let body = serde_json::parse_value(&format!(
-            "{{\"verilog\": {}, \"top\": \"qorpeek_probe\"}}",
-            serde_json::to_string(&verilog).unwrap()
-        ))
-        .unwrap();
-        let design = ChatLsService::resolve_design(&body).unwrap();
-        let fp = design_fingerprint(&design);
-        let qor_req = |fp: u64, script: &str| Request {
-            method: "GET".to_string(),
-            path: "/v1/qor".to_string(),
-            query: format!("fp={fp:x}&script={}", percent_encode(script)),
-            ..Default::default()
-        };
-        // Before any eval: a clean enveloped miss.
-        let miss = svc.handle(&qor_req(fp, script), &CancelToken::never());
-        assert_eq!(miss.status, 404, "{}", String::from_utf8_lossy(&miss.body));
-        let mv = serde_json::parse_value(&String::from_utf8(miss.body).unwrap()).unwrap();
-        assert_eq!(
-            mv.get("error").and_then(|e| e.get("code")).and_then(|c| c.as_str()),
-            Some("not_cached")
-        );
-        // Evaluate, then the peek hits with the same QoR.
-        let eval = svc.handle(
-            &post(
-                "/v1/eval",
-                &format!(
-                    "{{\"verilog\": {}, \"top\": \"qorpeek_probe\", \"script\": {}}}",
-                    serde_json::to_string(&verilog).unwrap(),
-                    serde_json::to_string(&script).unwrap()
-                ),
-            ),
-            &CancelToken::never(),
-        );
-        assert_eq!(eval.status, 200, "{}", String::from_utf8_lossy(&eval.body));
-        let ev = serde_json::parse_value(&String::from_utf8(eval.body).unwrap()).unwrap();
-        let evaled_qor = serde_json::to_string(
-            ev.get("results").and_then(|r| r.as_array()).unwrap()[0].get("qor").unwrap(),
-        )
-        .unwrap();
-        let hit = svc.handle(&qor_req(fp, script), &CancelToken::never());
-        assert_eq!(hit.status, 200, "{}", String::from_utf8_lossy(&hit.body));
-        let hv = serde_json::parse_value(&String::from_utf8(hit.body).unwrap()).unwrap();
-        assert_eq!(hv.get("ok").and_then(|b| b.as_bool()), Some(true));
-        assert_eq!(serde_json::to_string(hv.get("qor").unwrap()).unwrap(), evaled_qor);
-        // Bad query → enveloped 400.
-        let bad = svc.handle(
-            &Request {
-                method: "GET".to_string(),
-                path: "/v1/qor".to_string(),
-                query: "fp=zzz".to_string(),
-                ..Default::default()
-            },
-            &CancelToken::never(),
-        );
-        assert_eq!(bad.status, 400);
-    }
-
-    #[test]
-    fn shard_identity_prefers_a_sibling_never_itself() {
-        let addr =
-            |port: u16| -> std::net::SocketAddr { format!("127.0.0.1:{port}").parse().unwrap() };
-        let shards: Vec<ShardSpec> =
-            (0..3).map(|id| ShardSpec { id, addr: addr(19000 + id as u16) }).collect();
-        for me in 0..3 {
-            let identity = ShardIdentity::new(me, shards.clone());
-            for key in 0..64u64 {
-                let peer = identity.peer_for(key).expect("3-shard cluster always has a sibling");
-                assert_ne!(peer, addr(19000 + me as u16), "peer_for must never return this shard");
-                // Deterministic: same key, same peer.
-                assert_eq!(identity.peer_for(key), Some(peer));
-            }
-        }
-        // A cluster of one has no sibling to ask.
-        let lonely = ShardIdentity::new(0, vec![shards[0].clone()]);
-        assert_eq!(lonely.peer_for(7), None);
     }
 }

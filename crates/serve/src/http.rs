@@ -78,21 +78,6 @@ impl Request {
     }
 }
 
-/// Percent-encodes `s` for use in a query-string value: everything except
-/// unreserved characters (`A-Za-z0-9-._~`) is `%XX`-escaped.
-pub fn percent_encode(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
 /// Decodes `%XX` escapes (and `+` as space); malformed escapes pass
 /// through verbatim rather than failing the whole parameter.
 pub fn percent_decode(s: &str) -> String {
@@ -536,7 +521,8 @@ mod tests {
     #[test]
     fn percent_round_trips_arbitrary_text() {
         let original = "read_verilog a.v; map -k 6\nopt +x=100%~q";
-        assert_eq!(percent_decode(&percent_encode(original)), original);
+        let encoded = "read_verilog%20a.v%3B%20map%20-k%206%0Aopt%20%2Bx%3D100%25~q";
+        assert_eq!(percent_decode(encoded), original);
         assert_eq!(percent_decode("a+b%20c"), "a b c");
         assert_eq!(percent_decode("%zz%"), "%zz%", "malformed escapes pass through");
     }

@@ -32,7 +32,7 @@ pub mod sse;
 /// subtly.
 pub const PROTOCOL_VERSION: u32 = 1;
 
-pub use http::{json_escape, percent_decode, percent_encode, read_response, Request, Response};
+pub use http::{json_escape, percent_decode, read_response, Request, Response};
 pub use pool::{PoolError, PoolStats, SessionPool};
 pub use registry::{SessionRegistry, TurnError};
 pub use route::{HandlerFn, Router};

@@ -23,16 +23,11 @@
 //! Requests never mutate pooled values — they stamp cheap per-request
 //! copies — so a cancelled or failed request cannot poison the pool.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use chatls_exec::{CancelToken, Latch};
-
-/// Retained fingerprints of recently evicted entries, drained by the
-/// speculative warmer so it can rebuild catalog designs pushed out under
-/// pressure. Bounded so an eviction storm cannot grow memory.
-const EVICTED_LOG_CAP: usize = 128;
 
 /// Why a `get_or_build*` call returned no value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +72,6 @@ enum Slot<T, E> {
 struct PoolInner<T, E> {
     entries: HashMap<u64, Slot<T, E>>,
     tick: u64,
-    evicted: VecDeque<u64>,
 }
 
 #[derive(Default)]
@@ -170,11 +164,7 @@ impl<T, E> SessionPool<T, E> {
         let _ = chatls_obs::gauge("serve.pool.size");
         Self {
             shared: Arc::new(Shared {
-                inner: Mutex::new(PoolInner {
-                    entries: HashMap::new(),
-                    tick: 0,
-                    evicted: VecDeque::new(),
-                }),
+                inner: Mutex::new(PoolInner { entries: HashMap::new(), tick: 0 }),
                 counters: PoolCounters::default(),
             }),
             capacity: capacity.max(1),
@@ -221,15 +211,6 @@ impl<T, E> SessionPool<T, E> {
         }
     }
 
-    /// Fingerprints evicted since the last drain (bounded log; oldest
-    /// entries are dropped past [`EVICTED_LOG_CAP`]). The speculative
-    /// warmer polls this to re-warm catalog designs pushed out under
-    /// pressure.
-    pub fn drain_evicted(&self) -> Vec<u64> {
-        let mut inner = self.shared.inner.lock().unwrap();
-        inner.evicted.drain(..).collect()
-    }
-
     /// Records a build start while holding the pool lock: bumps the build
     /// counter and the in-flight gauge (tracking its high-water mark).
     fn note_build_started(&self, inner: &PoolInner<T, E>) {
@@ -274,10 +255,6 @@ impl<T, E> SessionPool<T, E> {
                 .min_by_key(|&(_, last_used)| last_used);
             let Some((oldest, _)) = victim else { return };
             inner.entries.remove(&oldest);
-            if inner.evicted.len() == EVICTED_LOG_CAP {
-                inner.evicted.pop_front();
-            }
-            inner.evicted.push_back(oldest);
             evict_c.inc();
         }
     }
@@ -486,8 +463,6 @@ mod tests {
         pool.get_or_build(1, || -> Result<u64, ()> { panic!("hit expected") }).unwrap();
         pool.get_or_build(3, || Ok::<_, ()>(30)).unwrap();
         assert_eq!(pool.len(), 2);
-        assert_eq!(pool.drain_evicted(), vec![2]);
-        assert!(pool.drain_evicted().is_empty(), "drain must consume the log");
         let (_, hit1) = pool.get_or_build(1, || Ok::<_, ()>(11)).unwrap();
         assert!(hit1, "recently used entry must survive eviction");
         let (v2, hit2) = pool.get_or_build(2, || Ok::<_, ()>(22)).unwrap();
@@ -667,7 +642,6 @@ mod tests {
         });
         let (v, hit) = pool.get_or_build(1, || -> Result<u64, ()> { panic!() }).unwrap();
         assert_eq!((*v, hit), (10, true), "in-flight build must survive churn eviction");
-        assert!(!pool.drain_evicted().contains(&1), "fingerprint 1 must never appear evicted");
     }
 
     /// Satellite regression: an eviction racing a `get` on the same
@@ -681,7 +655,6 @@ mod tests {
         // A competing design evicts fingerprint 1 while `held` is live
         // (mid-stamp, in serving terms).
         pool.get_or_build(2, || Ok::<_, ()>(20)).unwrap();
-        assert_eq!(pool.drain_evicted(), vec![1]);
         assert_eq!(*held, 10, "an evicted entry stays usable through held handles");
         let (v, hit) = pool.get_or_build(1, || Ok::<_, ()>(11)).unwrap();
         assert!(!hit, "evicted fingerprint must rebuild");

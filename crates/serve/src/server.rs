@@ -468,7 +468,6 @@ fn known_endpoint(path: &str) -> &'static str {
         "/v1/customize" => "customize",
         "/v1/eval" => "eval",
         "/v1/lint" => "lint",
-        "/v1/qor" => "qor",
         "/v1/version" => "version",
         "/v1/mcp" => "mcp",
         "/v1/session" => "session",
