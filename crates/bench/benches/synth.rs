@@ -25,7 +25,6 @@ use std::hint::black_box;
 
 const SCRIPT: &str = "create_clock -period 9.0 [get_ports clk]\n\
                       compile -map_effort high\n\
-                      fix_timing_violations -all\n\
                       report_qor\n";
 
 fn bench_run_script(c: &mut Criterion) {
@@ -470,6 +469,7 @@ fn assert_full_sta_fast() {
 fn assert_run_script_template_fast() {
     let design = chatls_designs::by_name("aes").expect("catalog design");
     let template = session_template(&design);
+    assert!(run_script_in(&template, SCRIPT).1, "the timed script must run to its end");
     assert_under_budget("synth/run_script_aes_from_template", 20_000_000, 5, || {
         black_box(run_script_in(&template, black_box(SCRIPT)));
     });

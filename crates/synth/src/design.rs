@@ -28,6 +28,16 @@ pub(crate) fn serr(m: impl Into<String>) -> SynthesisError {
 /// Sentinel in [`MappedDesign::cell_ids`] for gates with no library cell.
 pub(crate) const NO_CELL: u32 = u32::MAX;
 
+/// The one cell name → library index rule timing uses: [`NO_CELL`] for
+/// constants (empty name) and unknown cells, else `Library::cell_id`.
+pub(crate) fn cell_id_of(library: &Library, name: &str) -> u32 {
+    if name.is_empty() {
+        NO_CELL
+    } else {
+        library.cell_id(name).unwrap_or(NO_CELL)
+    }
+}
+
 /// Library cell base name for each primitive gate kind; `None` for
 /// zero-area pseudo-cells (constants).
 pub fn base_cell_for(kind: GateKind) -> Option<&'static str> {
@@ -193,18 +203,7 @@ impl MappedDesign {
     /// gate; callers that need cell data for several passes resolve this
     /// once and share it.
     pub(crate) fn cell_ids(&self, library: &Library) -> Vec<u32> {
-        self.cells
-            .iter()
-            .map(
-                |name| {
-                    if name.is_empty() {
-                        NO_CELL
-                    } else {
-                        library.cell_id(name).unwrap_or(NO_CELL)
-                    }
-                },
-            )
-            .collect()
+        self.cells.iter().map(|name| cell_id_of(library, name)).collect()
     }
 
     /// [`MappedDesign::net_loads`] with pre-resolved cell ids.

@@ -664,6 +664,24 @@ pub fn next_drive(library: &Library, cell_name: &str, up: bool) -> Option<String
     variants.get(next).map(|c| c.name.clone())
 }
 
+/// True when some net has more live sink pins than `max_fanout`, the nets
+/// [`buffer_high_fanout`] splits; false means that pass has nothing to do.
+pub fn exceeds_fanout(design: &MappedDesign, max_fanout: usize) -> bool {
+    let mut sinks = vec![0usize; design.netlist.nets.len()];
+    for (gi, g) in design.netlist.gates.iter().enumerate() {
+        if design.is_dead(gi) {
+            continue;
+        }
+        for &inp in &g.inputs {
+            sinks[inp as usize] += 1;
+            if sinks[inp as usize] > max_fanout {
+                return true;
+            }
+        }
+    }
+    false
+}
+
 /// Buffer balancing: splits nets with more than `max_fanout` sinks into a
 /// buffer tree (strongest buffers available), recursively.
 pub fn buffer_high_fanout(
@@ -793,8 +811,7 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
         // Apply: register each input of the gate, gate drives old Q directly.
         let snapshot = view.snapshot();
         let comb = view.design().netlist.gates[gate_i].clone();
-        let moved_inputs = comb.inputs.len();
-        view.with_design_mut(|design| {
+        let moved = view.with_design_mut(|design| {
             let q_net = design.netlist.gates[dff_i].output;
             let path = design.netlist.gates[dff_i].path.clone();
             let mut new_inputs = Vec::with_capacity(comb.inputs.len());
@@ -820,16 +837,14 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
             design.netlist.gates[gate_i].inputs = new_inputs.into();
             design.netlist.gates[gate_i].output = q_net;
             design.kill(dff_i);
+            PassStats { added: comb.inputs.len(), removed: 1, resized: 0 }
         });
-        stats.added += moved_inputs;
-        stats.removed += 1;
         let after_cps = view.report().cps;
         if after_cps <= before_cps {
             view.restore(snapshot);
-            stats.added = stats.added.saturating_sub(moved_inputs);
-            stats.removed = stats.removed.saturating_sub(1);
             break;
         }
+        stats.merge(moved);
     }
     stats
 }
@@ -901,7 +916,7 @@ pub fn fix_hold(view: &mut TimingView) -> PassStats {
         if violations.is_empty() {
             break;
         }
-        let added = view.with_design_mut(|design| {
+        let round = view.with_design_mut(|design| {
             let mut added = 0usize;
             for gi in 0..design.netlist.gates.len() {
                 if design.is_dead(gi) || !design.netlist.gates[gi].kind.is_sequential() {
@@ -933,10 +948,10 @@ pub fn fix_hold(view: &mut TimingView) -> PassStats {
                 design.netlist.gates[gi].inputs[0] = new_net;
                 added += 1;
             }
-            added
+            PassStats { added, ..PassStats::default() }
         });
-        stats.added += added;
-        if added == 0 {
+        stats.merge(round);
+        if round.added == 0 {
             break;
         }
     }
@@ -993,14 +1008,18 @@ pub fn compile(view: &mut TimingView, effort: Effort) -> PassStats {
             stats.merge(size_cells(view, 3));
             // Fanout buffering is only kept when it helps the clock: blind
             // buffer trees on met designs would add delay for nothing.
-            let snapshot = view.snapshot();
-            let before_cps = view.report().cps;
-            let buf_stats = view.with_design_mut(|design| buffer_high_fanout(design, library, 12));
-            let after_cps = view.report().cps;
-            if after_cps < before_cps {
-                view.restore(snapshot);
-            } else {
-                stats.merge(buf_stats);
+            // With no net over the limit the trial would change nothing.
+            if exceeds_fanout(view.design(), 12) {
+                let snapshot = view.snapshot();
+                let before_cps = view.report().cps;
+                let buf_stats =
+                    view.with_design_mut(|design| buffer_high_fanout(design, library, 12));
+                let after_cps = view.report().cps;
+                if after_cps < before_cps {
+                    view.restore(snapshot);
+                } else {
+                    stats.merge(buf_stats);
+                }
             }
             stats.merge(size_cells(view, 3));
             if max_area.is_some() {

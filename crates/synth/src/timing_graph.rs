@@ -11,6 +11,21 @@
 //! graph wholesale and the next query rebuilds it via the same code path
 //! the full analyzer uses.
 //!
+//! Invalidation reaches only as far as an edit did. A pass run through
+//! [`TimingView::with_design_mut`] that reports no change (all-zero
+//! [`PassStats`]) keeps the graph, since every pass's stats count each
+//! edit it makes. `ungroup -all` rewrites module paths only, which reach
+//! the derived reports but no arrival. A constraint change falls into one
+//! of four classes, by what the cached state read from it:
+//! - `max_area` and `critical_range` are timing-inert: everything stays;
+//! - `clock_period`, `output_delay` and the `-to`/multicycle exceptions
+//!   move required times only: arrivals stay, derived results drop;
+//! - `input_delay` and `input_drive_resistance` move input sources: each
+//!   normal primary input is re-seeded and the change propagates through
+//!   the dirty worklist;
+//! - `wire_load`, `clock_port` and the `-from` exceptions change loads or
+//!   launch points: full rebuild.
+//!
 //! Determinism: on an acyclic graph, forward max-propagation and backward
 //! min-propagation produce bitwise-identical values over *any* valid
 //! topological order, because every gate is evaluated exactly once from the
@@ -26,8 +41,9 @@
 //! query recomputes from scratch and asserts bitwise equality of
 //! WNS/CPS/TNS and every endpoint slack.
 
-use crate::design::MappedDesign;
-use crate::sta::{self, Constraints, EndpointSlack, SlackMap, TimingReport};
+use crate::design::{cell_id_of, MappedDesign};
+use crate::passes::PassStats;
+use crate::sta::{self, Constraints, EndpointSlack, SlackMap, TimingException, TimingReport};
 use chatls_liberty::{Library, WireLoadModel};
 use chatls_verilog::netlist::GateKind;
 use std::cmp::Reverse;
@@ -118,14 +134,71 @@ enum PiKind {
     FalseFrom,
 }
 
+/// How far a constraint change reaches into the cached timing state,
+/// ordered by how much of it must be recomputed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum ConstraintReach {
+    /// Only timing-inert fields (`max_area`, `critical_range`) differ.
+    Inert,
+    /// Required times move: the derived results drop, arrivals stay.
+    Required,
+    /// Primary-input sources move: re-seed and propagate.
+    Sources,
+    /// Loads or launch points move: full rebuild.
+    Launch,
+}
+
+impl ConstraintReach {
+    fn between(old: &Constraints, new: &Constraints) -> Self {
+        // Destructured so that a new field has to be classified here.
+        let Constraints {
+            clock_period,
+            clock_port,
+            input_delay,
+            output_delay,
+            wire_load,
+            max_area: _,
+            critical_range: _,
+            input_drive_resistance,
+            exceptions,
+        } = new;
+        fn false_from(c: &Constraints) -> impl Iterator<Item = &TimingException> {
+            c.exceptions.iter().filter(|e| matches!(e, TimingException::FalseFrom(_)))
+        }
+        if *wire_load != old.wire_load
+            || *clock_port != old.clock_port
+            || !false_from(old).eq(false_from(new))
+        {
+            Self::Launch
+        } else if *input_delay != old.input_delay
+            || *input_drive_resistance != old.input_drive_resistance
+        {
+            Self::Sources
+        } else if *clock_period != old.clock_period
+            || *output_delay != old.output_delay
+            || *exceptions != old.exceptions
+        {
+            Self::Required
+        } else {
+            Self::Inert
+        }
+    }
+}
+
 /// Persistent incremental STA state for one [`MappedDesign`].
 ///
 /// All queries go through [`TimingView`]; the graph itself only stores
 /// caches and never outlives a geometry change unvalidated: queries compare
-/// gate/net counts and the constraint set against the cached build and
-/// rebuild on any mismatch, so a stale graph can produce wrong answers only
-/// if a design is mutated behind the view's back *without* changing
-/// geometry — which the mutation hooks exist to prevent.
+/// gate/net counts against the cached build and rebuild on any mismatch,
+/// so a stale graph can produce wrong answers only if a design is mutated
+/// behind the view's back *without* changing geometry — which the mutation
+/// hooks exist to prevent. Each query also compares the constraints with
+/// the ones the cache was built under and drops only what the changed
+/// fields feed: nothing for `max_area`/`critical_range`, the derived
+/// results for clock period, output delay and `-to` exceptions, re-seeded
+/// input sources for input delay and drive, a full rebuild for wire load,
+/// clock port and `-from` exceptions. A [`TimingView::with_design_mut`]
+/// pass whose [`PassStats`] report no change keeps the graph as it is.
 #[derive(Debug, Clone)]
 pub struct TimingGraph {
     // Cached structure.
@@ -160,18 +233,15 @@ pub struct TimingGraph {
     /// of one net re-sums it once, not once per edit.
     load_dirty: Vec<usize>,
     load_dirty_flag: Vec<bool>,
-    /// Gate → index into `library.cells` (`u32::MAX` = unmapped/unknown).
-    /// `Library::cell` hashes the name on every call (an Fx-hashed index,
-    /// `crates/liberty/src/model.rs`); a session's library never changes, so
-    /// the persistent graph resolves each gate once per rebuild and patches
-    /// single entries on resize.
+    /// Gate → index into `library.cells` (`u32::MAX` = unmapped/unknown),
+    /// resolved through `Library::cell_id` like `sta::analyze` does. A
+    /// session's library never changes, so the persistent graph resolves
+    /// each gate once per rebuild and patches single entries on resize.
     cell_idx: Vec<u32>,
     /// Per-library-cell input pin capacitances, in pin order.
     cell_input_caps: Vec<Vec<f64>>,
     /// Per-library-cell position of the output pin.
     cell_out_pin: Vec<Option<usize>>,
-    /// Cell name → first library index (the `Library::cell` semantics).
-    cell_by_name: std::collections::HashMap<String, u32>,
     /// Per-library-cell next drive variant up/down (`u32::MAX` = none),
     /// precomputed so sizing passes skip the scan-and-sort per candidate.
     cell_next_up: Vec<u32>,
@@ -217,7 +287,6 @@ impl TimingGraph {
             cell_idx: Vec::new(),
             cell_input_caps: Vec::new(),
             cell_out_pin: Vec::new(),
-            cell_by_name: std::collections::HashMap::new(),
             cell_next_up: Vec::new(),
             cell_next_down: Vec::new(),
             local: StaTelemetry::default(),
@@ -255,11 +324,11 @@ impl TimingGraph {
     }
 
     fn ensure(&mut self, design: &MappedDesign, library: &Library, constraints: &Constraints) {
-        let pending = !self.heap.is_empty() || !self.load_dirty.is_empty();
         let stale = self.full_dirty
             || self.geometry_mismatch(design)
-            || self.cached_constraints.as_ref() != Some(constraints)
-            || (self.cycles > 0 && pending);
+            || !self.adopt_constraints(design, library, constraints);
+        let pending = !self.heap.is_empty() || !self.load_dirty.is_empty();
+        let stale = stale || (self.cycles > 0 && pending);
         let (full_builds, incr_updates, clean_hits) = sta_counters();
         if stale {
             self.rebuild(design, library, constraints);
@@ -282,18 +351,56 @@ impl TimingGraph {
         }
     }
 
-    /// Full rebuild through the oracle path (`sta::compute_arrivals`).
+    /// Moves the cache onto `constraints`, dropping only what the changed
+    /// fields feed (see the type docs). False when only a full rebuild can
+    /// catch up.
+    fn adopt_constraints(
+        &mut self,
+        design: &MappedDesign,
+        library: &Library,
+        constraints: &Constraints,
+    ) -> bool {
+        let Some(old) = &self.cached_constraints else {
+            return false;
+        };
+        if old == constraints {
+            return true;
+        }
+        let reach = ConstraintReach::between(old, constraints);
+        if reach == ConstraintReach::Launch {
+            return false;
+        }
+        self.cached_constraints = Some(constraints.clone());
+        if reach >= ConstraintReach::Required {
+            self.derived_stale();
+        }
+        if reach == ConstraintReach::Sources {
+            // Same refresh as a load change on each normal input: the new
+            // source value propagates through the worklist.
+            for (_, id) in &design.netlist.inputs {
+                if self.pi_kind[*id as usize] == PiKind::Normal {
+                    self.on_load_changed(design, library, *id as usize);
+                }
+            }
+        }
+        true
+    }
+
+    /// Full rebuild through the oracle path (`sta::compute_arrivals_with`).
     fn rebuild(&mut self, design: &MappedDesign, library: &Library, constraints: &Constraints) {
-        let a = sta::compute_arrivals(design, library, constraints);
+        let ids = design.cell_ids(library);
+        let arcs = sta::resolve_gate_arcs_from_ids(design, library, &ids);
+        let a = sta::compute_arrivals_with(design, library, constraints, &ids, &arcs);
         self.arrival = a.arrival;
         self.loads = a.loads;
         self.order = a.order;
         self.driver = a.driver;
         self.cycles = a.cycles;
+        self.cached_constraints = Some(constraints.clone());
         // Refill the per-net sink lists in place: the inner vectors are a
         // slab keyed to this graph's lifetime, so the rebuilds a session
-        // triggers (one per fix_timing_violations round, for instance)
-        // reuse their allocations instead of paying one Vec per net.
+        // triggers (one per compile buffer trial, for instance) reuse
+        // their allocations instead of paying one Vec per net.
         let nets_len = design.netlist.nets.len();
         for s in &mut self.sinks {
             s.clear();
@@ -340,7 +447,7 @@ impl TimingGraph {
             .exceptions
             .iter()
             .filter_map(|e| match e {
-                sta::TimingException::FalseFrom(p) => Some((p.as_str(), format!("{p}["))),
+                TimingException::FalseFrom(p) => Some((p.as_str(), format!("{p}["))),
                 _ => None,
             })
             .collect();
@@ -358,7 +465,7 @@ impl TimingGraph {
             } else {
                 PiKind::Normal
             };
-            self.source[*id as usize] = self.pi_source_value(constraints, *id as usize);
+            self.source[*id as usize] = self.pi_source_value(*id as usize);
         }
         for (gi, gate) in design.netlist.gates.iter().enumerate() {
             if design.is_dead(gi) || !gate.kind.is_sequential() {
@@ -369,13 +476,11 @@ impl TimingGraph {
         }
         self.gates_len = design.netlist.gates.len();
         self.nets_len = nets;
-        self.cached_constraints = Some(constraints.clone());
         self.heap.clear();
         self.in_dirty = vec![false; self.gates_len];
         self.load_dirty.clear();
         self.load_dirty_flag = vec![false; nets];
-        // Cell-resolution caches: per-library data once, per-gate indices
-        // through a name map so the rebuild itself stays linear.
+        // Per-library cell data, resolved once per library.
         if self.cell_input_caps.len() != library.cells.len() {
             self.cell_input_caps = library
                 .cells
@@ -393,30 +498,20 @@ impl TimingGraph {
                 .iter()
                 .map(|c| c.pins.iter().position(|p| p.direction == chatls_liberty::PinDir::Output))
                 .collect();
-            self.cell_by_name = std::collections::HashMap::new();
-            for (i, cell) in library.cells.iter().enumerate() {
-                // First occurrence wins, matching `Library::cell`'s find-first.
-                self.cell_by_name.entry(cell.name.clone()).or_insert(i as u32);
-            }
             let resolve_next = |up: bool| -> Vec<u32> {
                 library
                     .cells
                     .iter()
                     .map(|c| {
                         crate::passes::next_drive(library, &c.name, up)
-                            .and_then(|n| self.cell_by_name.get(&n).copied())
-                            .unwrap_or(u32::MAX)
+                            .map_or(u32::MAX, |n| cell_id_of(library, &n))
                     })
                     .collect()
             };
             self.cell_next_up = resolve_next(true);
             self.cell_next_down = resolve_next(false);
         }
-        self.cell_idx = design
-            .cells
-            .iter()
-            .map(|n| self.cell_by_name.get(n.as_str()).copied().unwrap_or(u32::MAX))
-            .collect();
+        self.cell_idx = ids;
         self.full_dirty = false;
         self.derived_stale();
     }
@@ -435,12 +530,15 @@ impl TimingGraph {
         o.timing.get(pin).or_else(|| o.timing.first()).map(|arc| arc.delay(load)).unwrap_or(0.0)
     }
 
-    fn pi_source_value(&self, constraints: &Constraints, net: usize) -> f64 {
+    /// Source arrival of `net` as a primary input under the cached
+    /// constraints (`-inf` for non-inputs and `-from` launch points).
+    fn pi_source_value(&self, net: usize) -> f64 {
         match self.pi_kind[net] {
             PiKind::NotPi | PiKind::FalseFrom => f64::NEG_INFINITY,
             PiKind::Clock => 0.0,
             PiKind::Normal => {
-                constraints.input_delay + constraints.input_drive_resistance * self.loads[net]
+                let c = self.cached_constraints.as_ref().expect("sources are set after a build");
+                c.input_delay + c.input_drive_resistance * self.loads[net]
             }
         }
     }
@@ -517,33 +615,24 @@ impl TimingGraph {
             }
             Some(gi) => {
                 // Combinational driver: its arc delays see the new load.
-                let constraints = self.cached_constraints.clone();
-                if let Some(cc) = &constraints {
-                    self.source[net] = self.pi_source_value(cc, net);
-                }
+                self.source[net] = self.pi_source_value(net);
                 self.push_dirty(gi);
             }
-            None => {
-                let constraints = self.cached_constraints.clone();
-                if let Some(cc) = &constraints {
-                    let src = self.pi_source_value(cc, net);
-                    self.source[net] = src;
-                    if src.to_bits() != self.arrival[net].to_bits() {
-                        self.arrival[net] = src;
-                        self.dirty_sinks_of(design, net);
-                    }
-                }
-            }
+            None => self.set_undriven_source(design, net),
         }
     }
 
-    /// True when so much of the design is already dirty that a flat rebuild
-    /// beats worklist propagation. Mass edits (a sizing pass touching most
-    /// of the critical cone) would otherwise re-sum shared nets once per
-    /// edited sink and then walk nearly the whole graph through the heap;
-    /// past this point the edit hooks stop doing incremental bookkeeping
-    /// and the next query rebuilds once. The rebuild runs the same code
-    /// path as the full analyzer, so results are unaffected.
+    /// Refreshes the source of `net`, which has no live driver, and
+    /// dirties its sinks when its arrival moved.
+    fn set_undriven_source(&mut self, design: &MappedDesign, net: usize) {
+        let src = self.pi_source_value(net);
+        self.source[net] = src;
+        if src.to_bits() != self.arrival[net].to_bits() {
+            self.arrival[net] = src;
+            self.dirty_sinks_of(design, net);
+        }
+    }
+
     /// True when so much of the graph is already on the worklist that a
     /// flat rebuild beats heap-ordered propagation; the edit hooks then
     /// stop doing incremental bookkeeping and the next query rebuilds once
@@ -592,8 +681,7 @@ impl TimingGraph {
             return;
         }
         self.derived_stale();
-        self.cell_idx[gi] =
-            self.cell_by_name.get(design.cells[gi].as_str()).copied().unwrap_or(u32::MAX);
+        self.cell_idx[gi] = cell_id_of(library, &design.cells[gi]);
         let gate = &design.netlist.gates[gi];
         let out = gate.output as usize;
         let seq = gate.kind.is_sequential();
@@ -632,15 +720,7 @@ impl TimingGraph {
         let out = design.netlist.gates[gi].output as usize;
         if self.driver[out] == Some(gi) {
             self.driver[out] = None;
-            let constraints = self.cached_constraints.clone();
-            if let Some(cc) = &constraints {
-                let src = self.pi_source_value(cc, out);
-                self.source[out] = src;
-                if src.to_bits() != self.arrival[out].to_bits() {
-                    self.arrival[out] = src;
-                    self.dirty_sinks_of(design, out);
-                }
-            }
+            self.set_undriven_source(design, out);
         }
     }
 
@@ -1015,10 +1095,26 @@ impl<'a> TimingView<'a> {
         self.design.netlist.add_net(name)
     }
 
-    /// Arbitrary design mutation; conservatively invalidates the graph.
-    pub fn with_design_mut<R>(&mut self, f: impl FnOnce(&mut MappedDesign) -> R) -> R {
-        self.graph.invalidate();
-        f(self.design)
+    /// Arbitrary design mutation by a pass that counts every edit it makes
+    /// in its [`PassStats`]. The graph is invalidated only when the stats
+    /// report a change, so a pass that finds nothing to do keeps it.
+    pub fn with_design_mut(&mut self, f: impl FnOnce(&mut MappedDesign) -> PassStats) -> PassStats {
+        let stats = f(self.design);
+        if stats != PassStats::default() {
+            self.graph.invalidate();
+        }
+        stats
+    }
+
+    /// `ungroup -all` ([`crate::passes::ungroup_all`]); returns the number
+    /// of gates moved to the top. Module paths feed only the derived
+    /// reports, so the arrivals stay cached.
+    pub fn ungroup_all(&mut self) -> usize {
+        let moved = crate::passes::ungroup_all(self.design);
+        if moved > 0 {
+            self.graph.derived_stale();
+        }
+        moved
     }
 
     /// Clones the (design, graph) pair for later [`TimingView::restore`].
@@ -1026,10 +1122,14 @@ impl<'a> TimingView<'a> {
         (self.design.clone(), self.graph.clone())
     }
 
-    /// Restores a snapshot taken by [`TimingView::snapshot`].
+    /// Restores a snapshot taken by [`TimingView::snapshot`]. The graph's
+    /// own counters ([`TimingGraph::stats`]) keep counting the work done
+    /// since the snapshot.
     pub fn restore(&mut self, snap: (MappedDesign, TimingGraph)) {
+        let local = self.graph.local;
         *self.design = snap.0;
         *self.graph = snap.1;
+        self.graph.local = local;
     }
 }
 
@@ -1109,23 +1209,129 @@ mod tests {
         check_reports(&incremental, &fresh);
     }
 
+    /// Report, slack map and hold slacks all equal their oracles bitwise.
+    fn assert_matches_oracles(view: &mut TimingView, lib: &Library, c: &Constraints) {
+        let report = view.report().clone();
+        check_reports(&report, &sta::analyze(view.design(), lib, c));
+        let sm = view.slack_map();
+        let fresh = sta::slack_map(view.design(), lib, c);
+        check_vec(&sm.arrival, &fresh.arrival, "arrival");
+        check_vec(&sm.required, &fresh.required, "required");
+        let hold = view.hold_slacks().to_vec();
+        assert_eq!(hold, sta::hold_slacks(view.design(), lib, c));
+    }
+
     #[test]
     fn constraint_change_forces_rebuild() {
+        // Wire load, clock port and `-from` exceptions move loads or launch
+        // points: each change rebuilds.
         let mut d = map(PIPE, "pipe");
         let lib = nangate45();
         let mut g = TimingGraph::new();
-        let c1 = cons(0.6);
-        let r1 = {
-            let mut view = TimingView::new(&mut d, &mut g, &lib, &c1);
-            view.report().clone()
+        let base = cons(0.6);
+        let changes = [
+            Constraints { wire_load: None, ..base.clone() },
+            Constraints { wire_load: None, clock_port: Some("a[0]".into()), ..base.clone() },
+            Constraints {
+                wire_load: None,
+                clock_port: Some("a[0]".into()),
+                exceptions: vec![TimingException::FalseFrom("b".into())],
+                ..base.clone()
+            },
+        ];
+        TimingView::new(&mut d, &mut g, &lib, &base).report();
+        for (i, c) in changes.iter().enumerate() {
+            assert_matches_oracles(&mut TimingView::new(&mut d, &mut g, &lib, c), &lib, c);
+            assert_eq!(g.stats().full_builds, i as u64 + 2, "change {i} must rebuild");
+        }
+    }
+
+    #[test]
+    fn constraint_classes_keep_what_timing_did_not_read() {
+        let mut d = map(PIPE, "pipe");
+        let lib = nangate45();
+        let mut g = TimingGraph::new();
+        let base = cons(0.6);
+        TimingView::new(&mut d, &mut g, &lib, &base).report();
+        let mut c = base.clone();
+        let mut step = |c: &Constraints, g: &mut TimingGraph| {
+            let before = g.stats();
+            assert_matches_oracles(&mut TimingView::new(&mut d, g, &lib, c), &lib, c);
+            let after = g.stats();
+            assert_eq!(after.full_builds, before.full_builds, "no constraint here rebuilds");
+            after.incremental_updates - before.incremental_updates
         };
-        let c2 = cons(1.2);
-        let r2 = {
-            let mut view = TimingView::new(&mut d, &mut g, &lib, &c2);
-            view.report().clone()
-        };
-        assert!(r2.cps > r1.cps);
-        check_reports(&r2, &sta::analyze(&d, &lib, &c2));
+        // Timing-inert and required-time changes reuse the arrivals.
+        c.max_area = Some(10.0);
+        c.critical_range = 0.3;
+        assert_eq!(step(&c, &mut g), 0);
+        c.clock_period = 1.2;
+        c.output_delay = 0.1;
+        c.exceptions.push(TimingException::FalseTo("q[3]".into()));
+        c.exceptions.push(TimingException::MulticycleTo("q[1]".into(), 2));
+        assert_eq!(step(&c, &mut g), 0);
+        // Input delay and drive re-seed the inputs through the worklist.
+        c.input_delay = 0.2;
+        assert_eq!(step(&c, &mut g), 1);
+        c.input_drive_resistance = 0.01;
+        assert_eq!(step(&c, &mut g), 1);
+    }
+
+    #[test]
+    fn no_op_passes_and_ungroup_keep_the_arrivals() {
+        let src = "module sub(input [7:0] x, output [7:0] y); assign y = x + 8'd3; endmodule
+            module top(input clk, input [7:0] a, output reg [7:0] q);
+                wire [7:0] w;
+                sub u (.x(a), .y(w));
+                always @(posedge clk) q <= w;
+            endmodule";
+        let mut d = map(src, "top");
+        crate::passes::sweep(&mut d);
+        let lib = nangate45();
+        let c = cons(0.3);
+        let mut g = TimingGraph::new();
+        let mut view = TimingView::new(&mut d, &mut g, &lib, &c);
+        view.report();
+        assert_eq!(view.with_design_mut(crate::passes::sweep), PassStats::default());
+        assert!(view.ungroup_all() > 0);
+        assert_matches_oracles(&mut view, &lib, &c);
+        assert!(view.report().critical_path.iter().all(|s| s.module_path == "top"));
+        assert_eq!(g.stats().full_builds, 1, "a no-op pass and ungroup must not rebuild");
+    }
+
+    #[test]
+    fn restore_keeps_the_trial_builds_counted() {
+        let mut d = map(PIPE, "pipe");
+        let lib = nangate45();
+        let c = cons(0.6);
+        let mut g = TimingGraph::new();
+        {
+            let mut view = TimingView::new(&mut d, &mut g, &lib, &c);
+            view.report();
+            let snapshot = view.snapshot();
+            let added = view.with_design_mut(|d| crate::passes::buffer_high_fanout(d, &lib, 2));
+            assert!(added.added > 0, "the trial must be structural");
+            view.report();
+            view.restore(snapshot);
+            view.report();
+        }
+        assert_eq!(g.stats().full_builds, 2, "the rolled-back trial's build still counts");
+    }
+
+    #[test]
+    fn duplicate_cell_names_resolve_like_analyze() {
+        // A second cell under an existing name: `Library::cell_id` resolves
+        // the name to the last one, and the graph must agree.
+        let mut d = map(PIPE, "pipe");
+        let mut lib = nangate45();
+        let mut slow = lib.cell("DFF_X1").expect("DFF_X1").clone();
+        slow.ff.as_mut().expect("a flip-flop").setup *= 3.0;
+        let mut lib_cells = lib.cells.clone();
+        lib_cells.push(slow);
+        lib = Library::new(lib.name.clone(), lib_cells, lib.wire_loads.clone(), None);
+        let c = cons(0.6);
+        let mut g = TimingGraph::new();
+        assert_matches_oracles(&mut TimingView::new(&mut d, &mut g, &lib, &c), &lib, &c);
     }
 
     #[test]

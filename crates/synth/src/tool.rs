@@ -10,7 +10,7 @@
 
 use crate::design::MappedDesign;
 use crate::passes::{
-    buffer_high_fanout, compile, fix_hold, insert_clock_gating, retime, sweep, ungroup_all, Effort,
+    buffer_high_fanout, compile, exceeds_fanout, fix_hold, insert_clock_gating, retime, Effort,
 };
 use crate::script::{parse_script, Command};
 use crate::sta::{Constraints, QorReport, TimingReport};
@@ -801,9 +801,14 @@ impl SynthSession {
 
     /// Attaches (or with `None` detaches) a per-command observer:
     /// [`run_script`](Self::run_script) reports every successfully
-    /// executed command plus the QoR measured right after it. The probe
-    /// is served by the incremental timing graph, so attaching one turns
-    /// each command into one incremental STA query, not a full rebuild.
+    /// executed command plus the QoR measured right after it. The probe is
+    /// served by the incremental timing graph: the first probe builds the
+    /// graph, and later probes reuse it as far as the command allows — a
+    /// cache hit after a constraint timing does not read, a new report or a
+    /// worklist flush after one it does, a full rebuild only after a
+    /// structural edit or a wire-load, clock-port or `-from` change. On a
+    /// script whose commands before the first optimization write only other
+    /// constraints, an observer adds one full build: the first probe.
     pub fn set_command_observer(&mut self, observer: Option<CommandObserver>) {
         self.observer = observer;
     }
@@ -1130,7 +1135,7 @@ impl SynthSession {
                     );
                 }
                 if !cmd.has_flag("-no_autoungroup") {
-                    self.view().with_design_mut(ungroup_all);
+                    self.view().ungroup_all();
                     self.ungrouped = true;
                 }
                 let ungrouped = self.ungrouped;
@@ -1181,8 +1186,11 @@ impl SynthSession {
                         None => self.max_fanout.unwrap_or(12),
                     };
                 // Like the real command, buffering is QoR-driven: a tree
-                // that slows the clock down is not committed.
-                let (kept, added) = {
+                // that slows the clock down is not committed. With no net
+                // over the limit there is no tree to try.
+                let (kept, added) = if !exceeds_fanout(&self.design, limit) {
+                    (true, 0)
+                } else {
                     let mut view = self.view();
                     let snapshot = view.snapshot();
                     let before_cps = view.report().cps;
@@ -1207,7 +1215,7 @@ impl SynthSession {
                 if !cmd.has_flag("-all") {
                     return Err(self.err(cmd, "only 'ungroup -all' is supported"));
                 }
-                let n = self.view().with_design_mut(ungroup_all);
+                let n = self.view().ungroup_all();
                 self.ungrouped = true;
                 self.log.push(format!("ungroup: dissolved {n} hierarchical gates"));
                 Ok(())
@@ -1222,11 +1230,8 @@ impl SynthSession {
                         "(warning) insert_clock_gating without set_clock_gating_style".into(),
                     );
                 }
-                let stats = self.view().with_design_mut(|d| {
-                    let s = insert_clock_gating(d);
-                    sweep(d);
-                    s
-                });
+                // The pass ends with a sweep to its fixpoint.
+                let stats = self.view().with_design_mut(insert_clock_gating);
                 self.log.push(format!("insert_clock_gating: gated {} registers", stats.removed));
                 Ok(())
             }

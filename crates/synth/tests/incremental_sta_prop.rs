@@ -2,14 +2,16 @@
 //! a from-scratch `analyze()` after arbitrary edit sequences.
 //!
 //! Random layered netlists receive random sequences of cell resizes, gate
-//! kills and buffer insertions through [`TimingView`]; after every edit the
-//! incrementally maintained report must match a fresh full analysis bit for
-//! bit — WNS/CPS/TNS and every endpoint slack — and at the end of the
-//! sequence the slack map and hold slacks must match their oracles too.
+//! kills and buffer insertions through [`TimingView`], mixed with
+//! constraint changes of every class, each applied through a fresh view
+//! over the new constraints. After every edit the incrementally maintained
+//! report must match a fresh full analysis bit for bit — WNS/CPS/TNS and
+//! every endpoint slack — and at the end of the sequence the slack map and
+//! hold slacks must match their oracles too.
 
 use chatls_liberty::nangate45;
 use chatls_synth::passes::{buffer_high_fanout, next_drive};
-use chatls_synth::sta::{self, Constraints, TimingReport};
+use chatls_synth::sta::{self, Constraints, TimingException, TimingReport};
 use chatls_synth::{MappedDesign, TimingGraph, TimingView};
 use chatls_verilog::netlist::{GateKind, Netlist};
 use proptest::prelude::*;
@@ -79,9 +81,67 @@ fn assert_bitwise(incremental: &TimingReport, fresh: &TimingReport, ctx: &str) {
     assert_eq!(incremental.combinational_cycles, fresh.combinational_cycles, "cycles {ctx}");
 }
 
-/// One random edit; returns true when it was structural (buffer insertion),
-/// i.e. expected to trigger a full rebuild on the next query.
-fn apply_edit(view: &mut TimingView, lib: &chatls_liberty::Library, pick: u64, kind: u8) -> bool {
+/// One random edit: a cell resize, a gate kill or a buffer insertion
+/// through `view`, or a constraint change of each class. Returns true when
+/// the edit may rebuild the graph: a buffer insertion that added a buffer,
+/// or a wire-load, clock-port or `-from` change.
+fn apply_edit(
+    design: &mut MappedDesign,
+    graph: &mut TimingGraph,
+    lib: &chatls_liberty::Library,
+    constraints: &mut Constraints,
+    pick: u64,
+    kind: u8,
+) -> bool {
+    let port = format!("in{}", pick % 4);
+    match kind % 8 {
+        // Timing-inert.
+        4 => {
+            constraints.max_area = Some((pick % 100) as f64);
+            constraints.critical_range = (pick % 7) as f64 * 0.05;
+            return false;
+        }
+        // Required times only.
+        5 => {
+            match pick % 4 {
+                0 => constraints.clock_period = 0.3 + (pick % 17) as f64 * 0.1,
+                1 => constraints.output_delay = (pick % 5) as f64 * 0.05,
+                2 => {
+                    constraints.exceptions.push(TimingException::FalseTo(format!("q{}", pick % 3)))
+                }
+                _ => constraints
+                    .exceptions
+                    .push(TimingException::MulticycleTo(format!("q{}", pick % 3), 2)),
+            }
+            return false;
+        }
+        // Input sources.
+        6 => {
+            if pick.is_multiple_of(2) {
+                constraints.input_delay = (pick % 5) as f64 * 0.05;
+            } else {
+                constraints.input_drive_resistance = 0.001 * (1 + pick % 9) as f64;
+            }
+            return false;
+        }
+        // Loads or launch points.
+        7 => {
+            let before = constraints.clone();
+            match pick % 3 {
+                0 => {
+                    constraints.wire_load = match constraints.wire_load {
+                        Some(_) => None,
+                        None => Some("5K_heavy_1k".into()),
+                    }
+                }
+                1 => constraints.clock_port = Some(port),
+                _ => constraints.exceptions.push(TimingException::FalseFrom(port)),
+            }
+            return *constraints != before;
+        }
+        _ => {}
+    }
+    let mut view = TimingView::new(design, graph, lib, constraints);
     let live: Vec<usize> = (0..view.design().netlist.gates.len())
         .filter(|&gi| !view.design().is_dead(gi) && !view.design().cells[gi].is_empty())
         .collect();
@@ -89,10 +149,10 @@ fn apply_edit(view: &mut TimingView, lib: &chatls_liberty::Library, pick: u64, k
         return false;
     }
     let gi = live[(pick % live.len() as u64) as usize];
-    match kind % 4 {
+    match kind % 8 {
         // Upsize / downsize through the resize hook.
         0 | 1 => {
-            let up = kind.is_multiple_of(4);
+            let up = kind.is_multiple_of(8);
             if let Some(next) = next_drive(lib, &view.design().cells[gi], up) {
                 view.resize_cell(gi, next);
             }
@@ -104,11 +164,8 @@ fn apply_edit(view: &mut TimingView, lib: &chatls_liberty::Library, pick: u64, k
             view.kill_gate(gi);
             false
         }
-        // Buffer insertion: structural, goes through the invalidate path.
-        _ => {
-            view.with_design_mut(|d| buffer_high_fanout(d, lib, 2));
-            true
-        }
+        // Buffer insertion: structural when it inserts anything.
+        _ => view.with_design_mut(|d| buffer_high_fanout(d, lib, 2)).added > 0,
     }
 }
 
@@ -124,43 +181,43 @@ proptest! {
         layers in 1usize..4,
         per_layer in 2usize..7,
         period_tenths in 4u64..20,
-        edits in proptest::collection::vec((any::<u64>(), any::<u8>()), 1..8),
+        edits in proptest::collection::vec((any::<u64>(), any::<u8>()), 1..12),
     ) {
         let lib = nangate45();
         let nl = random_netlist(4, layers, per_layer, seed);
         let mut mapped = MappedDesign::map(nl, &lib).expect("maps");
-        let constraints = Constraints {
+        let mut constraints = Constraints {
             clock_period: period_tenths as f64 / 10.0,
             ..Constraints::default()
         };
         let mut graph = TimingGraph::new();
         let mut structural = 0u64;
-        {
+        TimingView::new(&mut mapped, &mut graph, &lib, &constraints).report();
+        for (step, &(pick, kind)) in edits.iter().enumerate() {
+            if apply_edit(&mut mapped, &mut graph, &lib, &mut constraints, pick, kind) {
+                structural += 1;
+            }
             let mut view = TimingView::new(&mut mapped, &mut graph, &lib, &constraints);
-            view.report();
-            for (step, &(pick, kind)) in edits.iter().enumerate() {
-                if apply_edit(&mut view, &lib, pick, kind) {
-                    structural += 1;
-                }
-                let incremental = view.report().clone();
-                let fresh = sta::analyze(view.design(), &lib, &constraints);
-                assert_bitwise(&incremental, &fresh, &format!("after edit {step}"));
-            }
-            // Derived views agree with their oracles at the end too.
-            let sm = view.slack_map();
-            let fresh_sm = sta::slack_map(view.design(), &lib, &constraints);
-            for (net, (a, b)) in sm.arrival.iter().zip(&fresh_sm.arrival).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "arrival of net {}", net);
-            }
-            for (net, (a, b)) in sm.required.iter().zip(&fresh_sm.required).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "required of net {}", net);
-            }
-            let hold = view.hold_slacks().to_vec();
-            let fresh_hold = sta::hold_slacks(view.design(), &lib, &constraints);
-            prop_assert_eq!(hold, fresh_hold);
+            let incremental = view.report().clone();
+            let fresh = sta::analyze(view.design(), &lib, &constraints);
+            assert_bitwise(&incremental, &fresh, &format!("after edit {step}"));
         }
-        // Resizes and kills ride the worklist; only structural edits (and
-        // the initial build) may rebuild from scratch.
+        // Derived views agree with their oracles at the end too.
+        let mut view = TimingView::new(&mut mapped, &mut graph, &lib, &constraints);
+        let sm = view.slack_map();
+        let fresh_sm = sta::slack_map(view.design(), &lib, &constraints);
+        for (net, (a, b)) in sm.arrival.iter().zip(&fresh_sm.arrival).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "arrival of net {}", net);
+        }
+        for (net, (a, b)) in sm.required.iter().zip(&fresh_sm.required).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "required of net {}", net);
+        }
+        let hold = view.hold_slacks().to_vec();
+        let fresh_hold = sta::hold_slacks(view.design(), &lib, &constraints);
+        prop_assert_eq!(hold, fresh_hold);
+        // Resizes, kills and the other constraint classes ride the
+        // worklist or keep the arrivals; only structural edits (and the
+        // initial build) may rebuild from scratch.
         let stats = graph.stats();
         prop_assert!(
             stats.full_builds <= 1 + structural,
@@ -180,19 +237,17 @@ proptest! {
         let lib = nangate45();
         let nl = random_netlist(4, 2, 5, seed);
         let mut mapped = MappedDesign::map(nl, &lib).expect("maps");
-        let constraints = Constraints { clock_period: 0.8, ..Constraints::default() };
+        let mut constraints = Constraints { clock_period: 0.8, ..Constraints::default() };
         chatls_synth::set_sta_check(true);
         let mut graph = TimingGraph::new();
-        {
+        TimingView::new(&mut mapped, &mut graph, &lib, &constraints).report();
+        for &(pick, kind) in &edits {
+            apply_edit(&mut mapped, &mut graph, &lib, &mut constraints, pick, kind);
             let mut view = TimingView::new(&mut mapped, &mut graph, &lib, &constraints);
             view.report();
-            for &(pick, kind) in &edits {
-                apply_edit(&mut view, &lib, pick, kind);
-                view.report();
-                view.slack_map();
-            }
-            view.hold_slacks();
+            view.slack_map();
         }
+        TimingView::new(&mut mapped, &mut graph, &lib, &constraints).hold_slacks();
         chatls_synth::set_sta_check(false);
     }
 }

@@ -11,7 +11,9 @@ use chatls::llm::gpt_like;
 use chatls::pipeline::prepare_task;
 use chatls_exec::ExecPool;
 use chatls_obs::ObsCtx;
-use chatls_synth::sta;
+use chatls_synth::sta::{self, QorReport};
+use chatls_synth::{CommandObserver, SessionTemplate};
+use std::sync::{Arc, Mutex};
 
 const SCRIPT: &str = "create_clock -period 0.9 [get_ports clk]\n\
                       set_max_fanout 12\n\
@@ -48,22 +50,138 @@ fn session_reports_match_fresh_analysis_bitwise() {
     assert!(after.clean_hits > before.clean_hits, "clean repeat must hit the graph cache");
 }
 
+/// Scripts that reach the timing graph in every way an edit or a
+/// constraint can: constraint writes of each class after a query and after
+/// a `compile`, `-from`/`-to`/multicycle exceptions, ungrouping, retiming,
+/// buffer balancing below and above its limit, clock gating and hold
+/// fixing. `{in}` and `{out}` name an input and an output bus.
+const CLASS_SCRIPTS: [&str; 3] = [
+    "create_clock -period 0.9 [get_ports clk]\n\
+     report_qor\n\
+     set_max_area 0\n\
+     set_critical_range 0.1\n\
+     set_output_delay 0.05 [all_outputs]\n\
+     set_input_delay 0.1 [all_inputs]\n\
+     report_timing\n\
+     compile\n\
+     set_max_area 0\n\
+     set_critical_range 0.2\n\
+     set_input_delay 0.2 [all_inputs]\n\
+     set_driving_cell -lib_cell BUF_X8 [all_inputs]\n\
+     report_timing\n\
+     set_wire_load_model -name 5K_light_1k\n\
+     report_qor\n",
+    "create_clock -period 0.9 [get_ports clk]\n\
+     compile\n\
+     set_false_path -to {out}\n\
+     set_multicycle_path 2 -to {out}\n\
+     report_timing\n\
+     set_false_path -from [get_ports {in}]\n\
+     report_timing\n\
+     ungroup -all\n\
+     report_timing\n\
+     compile_ultra -retime\n\
+     report_qor\n",
+    "create_clock -period 0.9 [get_ports clk]\n\
+     compile\n\
+     balance_buffers -max_fanout 100000\n\
+     balance_buffers -max_fanout 4\n\
+     set_clock_gating_style\n\
+     insert_clock_gating\n\
+     set_fix_hold\n\
+     report_hold\n\
+     report_qor\n",
+];
+
+/// Everything a run shows: its log, its final QoR and, when observed, the
+/// QoR probed after every command, with floats as bit patterns.
+fn run_outputs(template: &SessionTemplate, script: &str, observed: bool) -> String {
+    let probes = Arc::new(Mutex::new(Vec::new()));
+    let mut session = template.session();
+    if observed {
+        let sink = Arc::clone(&probes);
+        session.set_command_observer(Some(CommandObserver::new(move |event| {
+            sink.lock().expect("probe sink").push(qor_bits(&event.qor));
+        })));
+    }
+    let result = session.run_script(script);
+    assert!(result.ok(), "script must run clean: {:?}\n{script}", result.error);
+    let probes = probes.lock().expect("probe sink").join("\n");
+    format!("{}\n{}\n{probes}", result.log.join("\n"), qor_bits(&result.qor))
+}
+
+fn qor_bits(q: &QorReport) -> String {
+    let bits = [q.wns, q.cps, q.tns, q.area, q.leakage].map(f64::to_bits);
+    format!("{} {bits:?} {} {}", q.design, q.cells, q.registers)
+}
+
 #[test]
 fn oracle_mode_keeps_scripted_outputs_identical() {
-    let design = chatls_designs::by_name("riscv32i").expect("benchmark");
-    let template = session_template(&design);
+    // riscv32i has hold-mux registers for clock gating to convert; simd
+    // has none.
+    for (name, input, output) in [("riscv32i", "instr", "pc_out"), ("simd", "va", "vout")] {
+        let design = chatls_designs::by_name(name).expect("benchmark");
+        let template = session_template(&design);
+        for script in CLASS_SCRIPTS {
+            let script = script.replace("{in}", input).replace("{out}", output);
+            for observed in [false, true] {
+                let plain = run_outputs(&template, &script, observed);
+                chatls_synth::set_sta_check(true);
+                let checked = run_outputs(&template, &script, observed);
+                chatls_synth::set_sta_check(false);
+                assert_eq!(
+                    plain, checked,
+                    "{name}, observed {observed}: oracle mode must not change a single output \
+                     byte\n{script}"
+                );
+            }
+            let unobserved = run_outputs(&template, &script, false);
+            let observed = run_outputs(&template, &script, true);
+            assert!(observed.starts_with(&unobserved), "an observer must not change the run");
+        }
+    }
+}
 
-    let plain = {
-        let mut session = template.session();
-        session.run_script(SCRIPT)
-    };
-    chatls_synth::set_sta_check(true);
-    let checked = {
-        let mut session = template.session();
-        session.run_script(SCRIPT)
-    };
-    chatls_synth::set_sta_check(false);
-    assert_eq!(plain.log, checked.log, "oracle mode must not change a single output byte");
+/// Full timing-graph builds of one run, from the session's own graph.
+fn full_builds(template: &SessionTemplate, script: &str, observed: bool) -> u64 {
+    let mut session = template.session();
+    if observed {
+        session.set_command_observer(Some(CommandObserver::new(|_| {})));
+    }
+    assert!(session.run_script(script).ok(), "script must run clean");
+    session.detach_timing_graph().stats().full_builds
+}
+
+#[test]
+fn observer_costs_one_full_build_on_constraint_writes() {
+    let design = chatls_designs::by_name("aes").expect("benchmark");
+    let template = session_template(&design);
+    // Every command before the compile writes a constraint: the observer's
+    // first probe builds the graph and each later probe reuses it.
+    let script = "create_clock -period 3.5 [get_ports clk]\n\
+                  set_input_delay 0.1 [all_inputs]\n\
+                  set_output_delay 0.1 [all_outputs]\n\
+                  set_driving_cell -lib_cell BUF_X8 [all_inputs]\n\
+                  set_max_area 0\n\
+                  set_critical_range 0.1\n\
+                  compile\n\
+                  report_qor\n";
+    let unobserved = full_builds(&template, script, false);
+    assert_eq!(full_builds(&template, script, true), unobserved + 1);
+    // The script `chatls customize aes --seed 0` prints.
+    let customized = "create_clock -period 3.500 [get_ports clk]\n\
+                      set_wire_load_model -name 5K_heavy_1k\n\
+                      set_critical_range 0.1\n\
+                      set_driving_cell -lib_cell BUF_X8 [all_inputs]\n\
+                      set_max_area 0\n\
+                      ungroup -all\n\
+                      compile -map_effort high\n\
+                      optimize_registers\n\
+                      compile -map_effort high\n\
+                      compile_ultra\n\
+                      report_qor\n";
+    let observed = full_builds(&template, customized, true);
+    assert!(observed <= 5, "observed customized aes run took {observed} full builds");
 }
 
 #[test]
