@@ -14,9 +14,9 @@
 
 use chatls::eval::{run_script_in, session_template};
 use chatls_gnn::{train, TrainConfig};
-use chatls_synth::passes::{next_drive, size_cells};
+use chatls_synth::passes::size_cells;
 use chatls_synth::sta::{self, Constraints};
-use chatls_synth::{MappedDesign, TimingGraph, TimingView};
+use chatls_synth::{MappedDesign, TimingGraph, TimingView, NO_CELL};
 use chatls_tensor::Matrix;
 use criterion::{BenchResult, Criterion};
 use rand::rngs::StdRng;
@@ -82,15 +82,15 @@ fn resize_roundtrip(
     let gi = victims[i % victims.len()];
     let graph_query = |d: &mut MappedDesign, g: &mut TimingGraph, gi: usize, up: bool| {
         let mut view = TimingView::new(d, g, lib, cons);
-        let next = next_drive(lib, &view.design().cells[gi], up).expect("drive step");
+        let next = lib.next_drive(view.design().cells[gi], up).expect("drive step");
         view.resize_cell(gi, next);
         view.report().wns
     };
     if full_recompute {
-        let up = next_drive(lib, &design.cells[gi], true).expect("drive step");
+        let up = lib.next_drive(design.cells[gi], true).expect("drive step");
         design.cells[gi] = up;
         let w1 = sta::analyze(design, lib, cons).wns;
-        let down = next_drive(lib, &design.cells[gi], false).expect("drive step");
+        let down = lib.next_drive(design.cells[gi], false).expect("drive step");
         design.cells[gi] = down;
         w1 + sta::analyze(design, lib, cons).wns
     } else {
@@ -108,7 +108,7 @@ fn bench_incremental_sta(c: &mut Criterion) {
     let victims: Vec<usize> = (0..mapped.netlist.gates.len())
         .filter(|&gi| {
             !mapped.is_dead(gi)
-                && next_drive(&lib, &mapped.cells[gi], true).is_some()
+                && lib.next_drive(mapped.cells[gi], true).is_some()
                 && !mapped.netlist.gates[gi].kind.is_sequential()
         })
         .take(64)
@@ -157,14 +157,14 @@ fn size_cells_full_recompute(
         let snapshot = design.cells.clone();
         let mut any = false;
         for gi in 0..design.netlist.gates.len() {
-            if design.is_dead(gi) || design.cells[gi].is_empty() {
+            if design.is_dead(gi) || design.cells[gi] == NO_CELL {
                 continue;
             }
             let out = design.netlist.gates[gi].output;
             if slacks.slack(out) > threshold {
                 continue;
             }
-            if let Some(next) = next_drive(library, &design.cells[gi], true) {
+            if let Some(next) = library.next_drive(design.cells[gi], true) {
                 design.cells[gi] = next;
                 resized += 1;
                 any = true;
@@ -251,7 +251,7 @@ fn assert_obs_overhead_negligible() {
     let victims: Vec<usize> = (0..mapped.netlist.gates.len())
         .filter(|&gi| {
             !mapped.is_dead(gi)
-                && next_drive(&lib, &mapped.cells[gi], true).is_some()
+                && lib.next_drive(mapped.cells[gi], true).is_some()
                 && !mapped.netlist.gates[gi].kind.is_sequential()
         })
         .take(64)

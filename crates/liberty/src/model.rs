@@ -192,11 +192,15 @@ impl WireLoadModel {
 
 /// A technology library.
 ///
-/// Name lookups ([`Library::cell`], [`Library::cell_id`]) are served from a
-/// lazily built name → index table. The table is built on first lookup and
-/// assumes `cells` is no longer mutated afterwards — the library is
-/// construct-once data everywhere in this workspace (parsed or baked in,
-/// then shared behind `Arc`). Cloning or deserializing resets the table.
+/// Cells are addressed by name or by their index into [`Library::cells`]
+/// (a [`Library::cell_id`]). The per-cell lookups — the name index, each
+/// cell's input-pin capacitances and output arcs, and the next drive
+/// variant up and down — come from tables built on first use. They assume
+/// `cells` is no longer mutated afterwards: the library is construct-once
+/// data everywhere in this workspace (parsed or baked in, then shared
+/// behind `Arc`). Cloning or deserializing resets the tables. An id outside
+/// the library names no cell: it has no pins, no arcs and no drive
+/// variants.
 #[derive(Debug)]
 pub struct Library {
     /// Library name.
@@ -207,58 +211,62 @@ pub struct Library {
     pub wire_loads: Vec<WireLoadModel>,
     /// Name of the default wireload model.
     pub default_wire_load: Option<String>,
-    /// Lazy cell-name → `cells` index table (not serialized; rebuilt on
-    /// first lookup).
-    index: OnceLock<HashMap<String, u32, FxBuildHasher>>,
+    /// Lazily built per-cell tables (not serialized).
+    tables: OnceLock<CellTables>,
 }
 
-/// Multiply-xor string hasher (FxHash-style) for the cell-name index.
-///
-/// Cell names are short (`"NAND2_X4"`) and lookups run once per gate on
-/// 40k-gate designs, so the index is on a measured hot path where SipHash's
-/// per-call setup dominates. Names are trusted, fixed workspace data — no
-/// HashDoS surface — so the non-cryptographic mix is fine.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct FxBuildHasher;
-
-impl std::hash::BuildHasher for FxBuildHasher {
-    type Hasher = FxHasher;
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher(0)
-    }
-}
-
-/// Hasher produced by [`FxBuildHasher`].
+/// What [`Library`] resolves once per cell instead of scanning pins or
+/// names per lookup.
 #[derive(Debug)]
-pub struct FxHasher(u64);
+struct CellTables {
+    /// Cell name → index; the last of two same-named cells wins.
+    index: HashMap<String, u32>,
+    /// Input-pin capacitances per cell, in pin order.
+    input_caps: Vec<Box<[f64]>>,
+    /// Position of each cell's first output pin in its `pins`.
+    output_pin: Vec<Option<usize>>,
+    /// Next drive variant per cell, `[down, up]`.
+    next_drive: Vec<[Option<u32>; 2]>,
+}
 
-impl std::hash::Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-        let mut h = self.0;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let w = u64::from_le_bytes(c.try_into().unwrap());
-            h = (h.rotate_left(5) ^ w).wrapping_mul(SEED);
+impl CellTables {
+    fn build(cells: &[Cell]) -> Self {
+        let index: HashMap<String, u32> =
+            cells.iter().enumerate().map(|(i, c)| (c.name.clone(), i as u32)).collect();
+        // Drive variants per base name, weakest first: what
+        // `Library::variants` returns, as indices.
+        let mut variants: HashMap<&str, Vec<usize>> = HashMap::new();
+        for (i, c) in cells.iter().enumerate() {
+            variants.entry(c.base_name()).or_default().push(i);
         }
-        let mut tail = 0u64;
-        for (i, &b) in chunks.remainder().iter().enumerate() {
-            tail |= (b as u64) << (8 * i);
+        for v in variants.values_mut() {
+            v.sort_by_key(|&i| cells[i].drive_strength());
         }
-        h = (h.rotate_left(5) ^ tail).wrapping_mul(SEED);
-        self.0 = h;
-    }
-
-    fn write_u8(&mut self, b: u8) {
-        self.write(&[b]);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write(&n.to_le_bytes());
+        // A cell steps from the first variant carrying its name to the
+        // neighbouring variant, which resolves by name like any lookup.
+        let next_drive = cells
+            .iter()
+            .map(|c| {
+                let v = &variants[c.base_name()];
+                let pos = v.iter().position(|&i| cells[i].name == c.name).expect("own variant");
+                let step = |next: Option<usize>| {
+                    next.and_then(|n| v.get(n)).map(|&i| index[cells[i].name.as_str()])
+                };
+                [step(pos.checked_sub(1)), step(pos.checked_add(1))]
+            })
+            .collect();
+        Self {
+            input_caps: cells
+                .iter()
+                .map(|c| c.input_pins().map(|p| p.capacitance).collect())
+                .collect(),
+            output_pin: cells
+                .iter()
+                .map(|c| c.pins.iter().position(|p| p.direction == PinDir::Output))
+                .collect(),
+            next_drive,
+            index,
+        }
     }
 }
 
@@ -286,13 +294,12 @@ impl Deserialize for Library {
 
 impl Clone for Library {
     fn clone(&self) -> Self {
-        Self {
-            name: self.name.clone(),
-            cells: self.cells.clone(),
-            wire_loads: self.wire_loads.clone(),
-            default_wire_load: self.default_wire_load.clone(),
-            index: OnceLock::new(),
-        }
+        Self::new(
+            self.name.clone(),
+            self.cells.clone(),
+            self.wire_loads.clone(),
+            self.default_wire_load.clone(),
+        )
     }
 }
 
@@ -313,33 +320,64 @@ impl Library {
         wire_loads: Vec<WireLoadModel>,
         default_wire_load: Option<String>,
     ) -> Self {
-        Self { name, cells, wire_loads, default_wire_load, index: OnceLock::new() }
+        Self { name, cells, wire_loads, default_wire_load, tables: OnceLock::new() }
     }
 
-    fn index(&self) -> &HashMap<String, u32, FxBuildHasher> {
-        self.index.get_or_init(|| {
-            self.cells.iter().enumerate().map(|(i, c)| (c.name.clone(), i as u32)).collect()
-        })
+    #[inline]
+    fn tables(&self) -> &CellTables {
+        self.tables.get_or_init(|| CellTables::build(&self.cells))
     }
 
     /// Looks up a cell by exact name.
     pub fn cell(&self, name: &str) -> Option<&Cell> {
-        self.index().get(name).map(|&i| &self.cells[i as usize])
+        self.cell_id(name).and_then(|id| self.cell_by_id(id))
     }
 
     /// Index of the cell named `name` into [`Library::cells`], for callers
-    /// that keep compact `u32` links instead of strings.
+    /// that keep compact `u32` links instead of strings. The last of two
+    /// same-named cells wins.
     pub fn cell_id(&self, name: &str) -> Option<u32> {
-        self.index().get(name).copied()
+        self.tables().index.get(name).copied()
     }
 
-    /// The cell at a [`Library::cell_id`] index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of bounds.
-    pub fn cell_by_id(&self, id: u32) -> &Cell {
-        &self.cells[id as usize]
+    /// The cell at a [`Library::cell_id`] index; `None` for an id outside
+    /// the library.
+    #[inline]
+    pub fn cell_by_id(&self, id: u32) -> Option<&Cell> {
+        self.cells.get(id as usize)
+    }
+
+    /// Capacitance in fF that input `pin` of cell `id` presents: its
+    /// `pin`-th input pin's, or its first input pin's when it has fewer.
+    #[inline]
+    pub fn input_cap(&self, id: u32, pin: usize) -> Option<f64> {
+        let caps = self.tables().input_caps.get(id as usize)?;
+        caps.get(pin).or_else(|| caps.first()).copied()
+    }
+
+    /// The timing arc from input `pin` of cell `id` to its output: the
+    /// output pin's `pin`-th arc, or its first when it has fewer.
+    #[inline]
+    pub fn input_arc(&self, id: u32, pin: usize) -> Option<&TimingArc> {
+        let out = (*self.tables().output_pin.get(id as usize)?)?;
+        let arcs = &self.cells[id as usize].pins[out].timing;
+        arcs.get(pin).or_else(|| arcs.first())
+    }
+
+    /// [`Library::cell_id`] of the next drive variant of cell `id` up
+    /// (`up = true`) or down, if any: its neighbour in
+    /// [`Library::variants`] of its base name.
+    #[inline]
+    pub fn next_drive(&self, id: u32, up: bool) -> Option<u32> {
+        self.tables().next_drive.get(id as usize)?[up as usize]
+    }
+
+    /// [`Library::cell_id`] of the weakest (`strongest = false`) or the
+    /// strongest drive variant of a base function, if the library has one.
+    pub fn variant_id(&self, base: &str, strongest: bool) -> Option<u32> {
+        let variants = self.variants(base);
+        let cell = if strongest { variants.last() } else { variants.first() }?;
+        self.cell_id(&cell.name)
     }
 
     /// Looks up a wireload model by name.
@@ -420,6 +458,67 @@ mod tests {
     fn arc_delay_is_linear() {
         let arc = TimingArc { related_pin: "A".into(), intrinsic: 0.01, drive_resistance: 0.005 };
         assert!((arc.delay(10.0) - 0.06).abs() < 1e-12);
+    }
+
+    /// The by-name walk the next-drive table replaces: the neighbour of the
+    /// cell's name among the variants of its base name, resolved by name.
+    fn next_drive_by_name(lib: &Library, name: &str, up: bool) -> Option<u32> {
+        let cell = lib.cell(name)?;
+        let variants = lib.variants(cell.base_name());
+        let pos = variants.iter().position(|c| c.name == name)?;
+        let next = if up { pos.checked_add(1)? } else { pos.checked_sub(1)? };
+        variants.get(next).and_then(|c| lib.cell_id(&c.name))
+    }
+
+    #[test]
+    fn per_cell_tables_match_the_pins_and_the_by_name_walk() {
+        let nangate = crate::nangate45();
+        // The same cells with a second `INV_X2` appended: names resolve to
+        // the last copy, steps start from the first variant so named.
+        let mut cells = nangate.cells.clone();
+        cells.push(nangate.cell("INV_X2").expect("INV_X2").clone());
+        let duplicated = Library::new("dup".into(), cells, Vec::new(), None);
+        for lib in [&nangate, &duplicated] {
+            let mut steps = 0;
+            for (id, cell) in lib.cells.iter().enumerate() {
+                let id = id as u32;
+                for up in [false, true] {
+                    let step = lib.next_drive(id, up);
+                    assert_eq!(
+                        step,
+                        next_drive_by_name(lib, &cell.name, up),
+                        "{} up {up}",
+                        cell.name
+                    );
+                    steps += usize::from(step.is_some());
+                }
+                // Pin `k` of a gate reads the `k`-th input pin, or the first
+                // when the cell has fewer.
+                let inputs: Vec<f64> = cell
+                    .pins
+                    .iter()
+                    .filter(|p| p.direction == PinDir::Input)
+                    .map(|p| p.capacitance)
+                    .collect();
+                let arcs = cell
+                    .pins
+                    .iter()
+                    .find(|p| p.direction == PinDir::Output)
+                    .map_or(&[][..], |p| p.timing.as_slice());
+                for pin in 0..inputs.len().max(arcs.len()) + 2 {
+                    let cap = inputs.get(pin).or(inputs.first()).copied();
+                    assert_eq!(lib.input_cap(id, pin), cap, "{} pin {pin}", cell.name);
+                    let arc = arcs.get(pin).or(arcs.first());
+                    assert_eq!(lib.input_arc(id, pin), arc, "{} pin {pin}", cell.name);
+                }
+            }
+            assert!(steps > 0, "the library has drive variants to step between");
+            assert_eq!(lib.cell_by_id(u32::MAX), None);
+            assert_eq!(lib.input_cap(u32::MAX, 0), None);
+            assert_eq!(lib.input_arc(u32::MAX, 0), None);
+            assert_eq!(lib.next_drive(u32::MAX, true), None);
+        }
+        assert_eq!(duplicated.cell_id("INV_X2"), Some(duplicated.cells.len() as u32 - 1));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!   before it.
 
 use chatls_synth::script::Command;
+use chatls_synth::tool::NO_OP_COMMANDS;
 
 /// One slot of the abstract tool state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,8 +206,7 @@ pub fn effect_sig(cmd: &Command) -> Option<EffectSig> {
         |fallible| sig(OPTIMIZE_READS, set(&[Facet::Design]), Kind::Optimize, fallible, false);
     match cmd.name.as_str() {
         // No-op aliases: accepted, logged, no state.
-        "read_verilog" | "analyze" | "elaborate" | "current_design" | "link" | "echo" | "set"
-        | "lappend" | "exit" | "quit" => {
+        name if NO_OP_COMMANDS.contains(&name) => {
             sig(FacetSet::EMPTY, FacetSet::EMPTY, Kind::Alias, false, false)
         }
         "create_clock" => constraint(Facet::Clock, false),

@@ -1,6 +1,6 @@
 //! A technology-mapped design: gate netlist + library cell assignment.
 
-use chatls_liberty::{Library, PinDir};
+use chatls_liberty::Library;
 use chatls_verilog::netlist::{GateKind, Netlist};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -25,18 +25,8 @@ pub(crate) fn serr(m: impl Into<String>) -> SynthesisError {
     SynthesisError { message: m.into() }
 }
 
-/// Sentinel in [`MappedDesign::cell_ids`] for gates with no library cell.
-pub(crate) const NO_CELL: u32 = u32::MAX;
-
-/// The one cell name → library index rule timing uses: [`NO_CELL`] for
-/// constants (empty name) and unknown cells, else `Library::cell_id`.
-pub(crate) fn cell_id_of(library: &Library, name: &str) -> u32 {
-    if name.is_empty() {
-        NO_CELL
-    } else {
-        library.cell_id(name).unwrap_or(NO_CELL)
-    }
-}
+/// [`MappedDesign::cells`] entry of a gate with no library cell (constants).
+pub const NO_CELL: u32 = u32::MAX;
 
 /// Library cell base name for each primitive gate kind; `None` for
 /// zero-area pseudo-cells (constants).
@@ -58,15 +48,18 @@ pub fn base_cell_for(kind: GateKind) -> Option<&'static str> {
 
 /// A mapped design: the netlist plus a library cell per gate.
 ///
-/// `cells[i]` names the library cell implementing `netlist.gates[i]`
-/// (empty string for constants). Optimization passes mutate both in lock
-/// step; [`MappedDesign::compact`] removes tombstoned gates.
+/// `cells[i]` is the [`Library::cell_id`] of the cell implementing
+/// `netlist.gates[i]`, or [`NO_CELL`] for constants. Ids are resolved once,
+/// when a gate gets its cell, and index the library the design was mapped
+/// with; every analysis of the design must pass that library.
+/// Optimization passes mutate gates and cells in lock step;
+/// [`MappedDesign::compact`] removes tombstoned gates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MappedDesign {
     /// The gate-level netlist.
     pub netlist: Netlist,
-    /// Cell assignment per gate (parallel to `netlist.gates`).
-    pub cells: Vec<String>,
+    /// Library cell id per gate (parallel to `netlist.gates`).
+    pub cells: Vec<u32>,
     /// Tombstones: dead gates awaiting [`MappedDesign::compact`].
     dead: Vec<bool>,
 }
@@ -78,18 +71,24 @@ impl MappedDesign {
     ///
     /// Returns [`SynthesisError`] if the library lacks a needed base cell.
     pub fn map(netlist: Netlist, library: &Library) -> Result<Self, SynthesisError> {
+        // One library lookup per gate kind, not per gate.
+        let mut by_kind: Vec<(GateKind, u32)> = Vec::new();
         let mut cells = Vec::with_capacity(netlist.gates.len());
         for gate in &netlist.gates {
-            match base_cell_for(gate.kind) {
-                None => cells.push(String::new()),
-                Some(base) => {
-                    let variants = library.variants(base);
-                    let cell = variants
-                        .first()
-                        .ok_or_else(|| serr(format!("library has no cell for base '{base}'")))?;
-                    cells.push(cell.name.clone());
+            let id = match by_kind.iter().find(|(kind, _)| *kind == gate.kind) {
+                Some(&(_, id)) => id,
+                None => {
+                    let id = match base_cell_for(gate.kind) {
+                        None => NO_CELL,
+                        Some(base) => library.variant_id(base, false).ok_or_else(|| {
+                            serr(format!("library has no cell for base '{base}'"))
+                        })?,
+                    };
+                    by_kind.push((gate.kind, id));
+                    id
                 }
-            }
+            };
+            cells.push(id);
         }
         let dead = vec![false; netlist.gates.len()];
         Ok(Self { netlist, cells, dead })
@@ -111,7 +110,7 @@ impl MappedDesign {
     }
 
     /// Appends a gate with a cell assignment; returns its index.
-    pub fn push_gate(&mut self, gate: chatls_verilog::netlist::Gate, cell: String) -> usize {
+    pub fn push_gate(&mut self, gate: chatls_verilog::netlist::Gate, cell: u32) -> usize {
         self.netlist.gates.push(gate);
         self.cells.push(cell);
         self.dead.push(false);
@@ -126,7 +125,7 @@ impl MappedDesign {
             .zip(&self.cells)
             .zip(&self.dead)
             .filter(|(_, &dead)| !dead)
-            .map(|((_, cell), _)| library.cell(cell).map(|c| c.area).unwrap_or(0.0))
+            .map(|((_, &cell), _)| library.cell_by_id(cell).map_or(0.0, |c| c.area))
             .sum()
     }
 
@@ -138,7 +137,7 @@ impl MappedDesign {
             .zip(&self.cells)
             .zip(&self.dead)
             .filter(|(_, &dead)| !dead)
-            .map(|((_, cell), _)| library.cell(cell).map(|c| c.leakage).unwrap_or(0.0))
+            .map(|((_, &cell), _)| library.cell_by_id(cell).map_or(0.0, |c| c.leakage))
             .sum()
     }
 
@@ -188,64 +187,25 @@ impl MappedDesign {
     ///
     /// `wire_load` may be `None` to model ideal wires.
     ///
-    /// Walks the gates once instead of materializing a sink map: each live
-    /// gate resolves its cell a single time (through a per-library-cell cap
-    /// cache) and adds its input-pin caps to the nets it reads. Per net,
-    /// the additions land in the same (gate index, pin) order the sink-map
-    /// formulation produced, then the primary-output load, then the
-    /// wireload term — so the result is bitwise identical to it.
+    /// Walks the gates once instead of materializing a sink map, adding
+    /// each live gate's input-pin caps to the nets it reads. Per net, the
+    /// additions land in (gate index, pin) order, then the primary-output
+    /// load, then the wireload term — the order the incremental timing
+    /// graph re-sums a net in, so both produce the same bits.
     pub fn net_loads(&self, library: &Library, wire_load: Option<&str>) -> Vec<f64> {
-        self.net_loads_from_ids(library, wire_load, &self.cell_ids(library))
-    }
-
-    /// Library cell id per gate (parallel to `netlist.gates`), with
-    /// [`NO_CELL`] for constants and unknown cells. One string hash per
-    /// gate; callers that need cell data for several passes resolve this
-    /// once and share it.
-    pub(crate) fn cell_ids(&self, library: &Library) -> Vec<u32> {
-        self.cells.iter().map(|name| cell_id_of(library, name)).collect()
-    }
-
-    /// [`MappedDesign::net_loads`] with pre-resolved cell ids.
-    pub(crate) fn net_loads_from_ids(
-        &self,
-        library: &Library,
-        wire_load: Option<&str>,
-        ids: &[u32],
-    ) -> Vec<f64> {
         let wlm = wire_load.and_then(|w| library.wire_load(w));
         let nets = self.netlist.nets.len();
         let mut loads = vec![0.0f64; nets];
         let mut fanout = vec![0u32; nets];
-        // Input-pin caps per library cell, resolved lazily by cell id.
         // DFF data pin is inputs[0]; clock pin load is implicit.
-        let mut caps_by_id: Vec<Option<Box<[f64]>>> = vec![None; library.cells.len()];
         for (gi, gate) in self.netlist.gates.iter().enumerate() {
             if self.dead[gi] {
                 continue;
             }
-            let mut caps: Option<&[f64]> = None;
-            if ids[gi] != NO_CELL {
-                let slot = &mut caps_by_id[ids[gi] as usize];
-                if slot.is_none() {
-                    *slot = Some(
-                        library
-                            .cell_by_id(ids[gi])
-                            .pins
-                            .iter()
-                            .filter(|p| p.direction == PinDir::Input)
-                            .map(|p| p.capacitance)
-                            .collect(),
-                    );
-                }
-                caps = slot.as_deref();
-            }
             for (pin, &inp) in gate.inputs.iter().enumerate() {
                 fanout[inp as usize] += 1;
-                if let Some(caps) = caps {
-                    if let Some(&c) = caps.get(pin).or_else(|| caps.first()) {
-                        loads[inp as usize] += c;
-                    }
+                if let Some(c) = library.input_cap(self.cells[gi], pin) {
+                    loads[inp as usize] += c;
                 }
             }
         }
@@ -289,12 +249,25 @@ mod tests {
         MappedDesign::map(nl, &nangate45()).unwrap()
     }
 
+    /// Cell names per gate, `""` for constants.
+    fn names(d: &MappedDesign, lib: &Library) -> Vec<String> {
+        d.cells
+            .iter()
+            .map(|&c| lib.cell_by_id(c).map_or(String::new(), |c| c.name.clone()))
+            .collect()
+    }
+
     #[test]
     fn maps_to_x1_variants() {
         let d = small();
-        assert!(d.cells.iter().all(|c| c.is_empty() || c.ends_with("_X1")));
-        assert!(d.cells.iter().any(|c| c == "XOR2_X1"));
-        assert!(d.cells.iter().any(|c| c == "DFF_X1"));
+        let names = names(&d, &nangate45());
+        assert!(names.iter().all(|c| c.is_empty() || c.ends_with("_X1")));
+        assert!(names.iter().any(|c| c == "XOR2_X1"));
+        assert!(names.iter().any(|c| c == "DFF_X1"));
+        // Constants, and only constants, have no cell.
+        for (gate, &cell) in d.netlist.gates.iter().zip(&d.cells) {
+            assert_eq!(cell == NO_CELL, base_cell_for(gate.kind).is_none());
+        }
     }
 
     #[test]
@@ -304,7 +277,7 @@ mod tests {
         let a1 = d.area(&lib);
         assert!(a1 > 0.0);
         // Killing a gate reduces area.
-        let victim = d.cells.iter().position(|c| c == "XOR2_X1").unwrap();
+        let victim = names(&d, &lib).iter().position(|c| c == "XOR2_X1").unwrap();
         d.kill(victim);
         assert!(d.area(&lib) < a1);
     }

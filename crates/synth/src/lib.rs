@@ -47,10 +47,10 @@ pub mod sta;
 pub mod timing_graph;
 pub mod tool;
 
-pub use design::{MappedDesign, SynthesisError};
+pub use design::{MappedDesign, SynthesisError, NO_CELL};
 pub use sta::{Constraints, QorReport, TimingReport};
 pub use timing_graph::{
-    reset_sta_telemetry, set_sta_check, sta_check_enabled, sta_telemetry, StaTelemetry,
+    reset_sta_telemetry, sta_check_enabled, sta_telemetry, StaCheckGuard, StaTelemetry,
     TimingGraph, TimingView,
 };
 pub use tool::{

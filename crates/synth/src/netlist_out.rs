@@ -72,10 +72,8 @@ pub fn write_verilog(design: &MappedDesign, library: &Library) -> String {
                 writeln!(s, "  assign {} = 1'b1;", net_name(gate.output)).unwrap();
             }
             _ => {
-                let cell_name = &design.cells[gi];
-                let cell = match library.cell(cell_name) {
-                    Some(c) => c,
-                    None => continue,
+                let Some(cell) = library.cell_by_id(design.cells[gi]) else {
+                    continue;
                 };
                 counter += 1;
                 write!(s, "  {} U{} (", cell.name, counter).unwrap();

@@ -5,7 +5,7 @@
 //! Every pass preserves functionality; the crate's tests prove it by
 //! simulating random stimulus before and after each pass.
 
-use crate::design::MappedDesign;
+use crate::design::{MappedDesign, NO_CELL};
 use crate::timing_graph::TimingView;
 use chatls_liberty::Library;
 use chatls_verilog::netlist::{Gate, GateKind, InputList, MAX_GATE_ARITY};
@@ -154,8 +154,8 @@ pub fn sweep(design: &mut MappedDesign) -> PassStats {
 /// constant gates become constant drivers.
 pub fn const_propagate(design: &mut MappedDesign, library: &Library) -> PassStats {
     let mut stats = PassStats::default();
-    let buf_cell = library.variants("BUF").first().map(|c| c.name.clone()).unwrap_or_default();
-    let inv_cell = library.variants("INV").first().map(|c| c.name.clone()).unwrap_or_default();
+    let buf_cell = library.variant_id("BUF", false).unwrap_or(NO_CELL);
+    let inv_cell = library.variant_id("INV", false).unwrap_or(NO_CELL);
     loop {
         // Net constness from live constant drivers.
         let mut constness: Vec<Option<bool>> = vec![None; design.netlist.nets.len()];
@@ -179,21 +179,19 @@ pub fn const_propagate(design: &mut MappedDesign, library: &Library) -> PassStat
             for (c, &i) in cv.iter_mut().zip(inputs.iter()) {
                 *c = constness[i as usize];
             }
-            let buf = |i: usize| {
-                Some((GateKind::Buf, InputList::from_slice(&[inputs[i]]), buf_cell.as_str()))
-            };
-            let inv = |i: usize| {
-                Some((GateKind::Not, InputList::from_slice(&[inputs[i]]), inv_cell.as_str()))
-            };
+            let buf =
+                |i: usize| Some((GateKind::Buf, InputList::from_slice(&[inputs[i]]), buf_cell));
+            let inv =
+                |i: usize| Some((GateKind::Not, InputList::from_slice(&[inputs[i]]), inv_cell));
             let tie = |v: bool| {
                 Some((
                     if v { GateKind::Const1 } else { GateKind::Const0 },
                     InputList::default(),
-                    "",
+                    NO_CELL,
                 ))
             };
             // (new kind, new inputs, new cell)
-            let rewrite: Option<(GateKind, InputList, &str)> = match kind {
+            let rewrite: Option<(GateKind, InputList, u32)> = match kind {
                 GateKind::And => match (cv[0], cv[1]) {
                     (Some(false), _) | (_, Some(false)) => tie(false),
                     (Some(true), _) => buf(1),
@@ -228,7 +226,7 @@ pub fn const_propagate(design: &mut MappedDesign, library: &Library) -> PassStat
                 let slot = &mut design.netlist.gates[gi];
                 slot.kind = kind;
                 slot.inputs = inputs;
-                cell.clone_into(&mut design.cells[gi]);
+                design.cells[gi] = cell;
                 stats.resized += 1;
                 changed = true;
             }
@@ -461,9 +459,8 @@ impl StrashGroups {
 /// the inner gate's output feeds exactly the inverter (fanout 1).
 pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassStats {
     let mut stats = PassStats::default();
-    let cell_for = |kind: GateKind| -> Option<String> {
-        crate::design::base_cell_for(kind)
-            .and_then(|b| library.variants(b).first().map(|c| c.name.clone()))
+    let cell_for = |kind: GateKind| -> Option<u32> {
+        crate::design::base_cell_for(kind).and_then(|b| library.variant_id(b, false))
     };
     loop {
         let mut changed = false;
@@ -578,18 +575,19 @@ pub fn size_cells(view: &mut TimingView, rounds: usize) -> PassStats {
         }
         let slacks = view.slack_map();
         let threshold = before_cps + critical_range;
-        let mut round_edits: Vec<(usize, String)> = Vec::new();
+        let mut round_edits: Vec<(usize, u32)> = Vec::new();
         for gi in 0..view.design().netlist.gates.len() {
             let design = view.design();
-            if design.is_dead(gi) || design.cells[gi].is_empty() {
+            let cell = design.cells[gi];
+            if design.is_dead(gi) || cell == NO_CELL {
                 continue;
             }
             let out = design.netlist.gates[gi].output;
             if slacks.slack(out) > threshold {
                 continue;
             }
-            if let Some(next) = view.next_drive(gi, true) {
-                round_edits.push((gi, design.cells[gi].clone()));
+            if let Some(next) = view.library().next_drive(cell, true) {
+                round_edits.push((gi, cell));
                 view.resize_cell(gi, next);
                 stats.resized += 1;
             }
@@ -624,17 +622,18 @@ pub fn area_recovery(view: &mut TimingView) -> PassStats {
     // regression. A failed aggressive attempt retries more conservatively.
     for attempt in 0..2 {
         let margin = critical_range.max(0.05) * if attempt == 0 { 4.0 } else { 12.0 };
-        let mut attempt_edits: Vec<(usize, String)> = Vec::new();
+        let mut attempt_edits: Vec<(usize, u32)> = Vec::new();
         for gi in 0..view.design().netlist.gates.len() {
             let design = view.design();
-            if design.is_dead(gi) || design.cells[gi].is_empty() {
+            let cell = design.cells[gi];
+            if design.is_dead(gi) || cell == NO_CELL {
                 continue;
             }
             let out = design.netlist.gates[gi].output;
             let s = slacks.slack(out);
             if s.is_finite() && s > margin {
-                if let Some(prev) = view.next_drive(gi, false) {
-                    attempt_edits.push((gi, design.cells[gi].clone()));
+                if let Some(prev) = view.library().next_drive(cell, false) {
+                    attempt_edits.push((gi, cell));
                     view.resize_cell(gi, prev);
                 }
             }
@@ -653,15 +652,6 @@ pub fn area_recovery(view: &mut TimingView) -> PassStats {
         }
     }
     stats
-}
-
-/// Next drive variant up (`up = true`) or down of a cell, if any.
-pub fn next_drive(library: &Library, cell_name: &str, up: bool) -> Option<String> {
-    let cell = library.cell(cell_name)?;
-    let variants = library.variants(cell.base_name());
-    let pos = variants.iter().position(|c| c.name == cell_name)?;
-    let next = if up { pos.checked_add(1)? } else { pos.checked_sub(1)? };
-    variants.get(next).map(|c| c.name.clone())
 }
 
 /// True when some net has more live sink pins than `max_fanout`, the nets
@@ -690,9 +680,8 @@ pub fn buffer_high_fanout(
     max_fanout: usize,
 ) -> PassStats {
     let mut stats = PassStats::default();
-    let buf = match library.variants("BUF").last() {
-        Some(c) => c.name.clone(),
-        None => return stats,
+    let Some(buf) = library.variant_id("BUF", true) else {
+        return stats;
     };
     // The sink map is built once and maintained across splits (a split
     // moves a net's sinks onto the new buffer nets and leaves every other
@@ -734,7 +723,7 @@ pub fn buffer_high_fanout(
                 enable: None,
                 dont_touch: true,
             };
-            let buf_gi = design.push_gate(gate, buf.clone());
+            let buf_gi = design.push_gate(gate, buf);
             stats.added += 1;
             for &(gi, pin) in group {
                 design.netlist.gates[gi].inputs[pin] = new_net;
@@ -755,9 +744,8 @@ pub fn buffer_high_fanout(
 /// unless `ungrouped` — the gate and register share a module path.
 pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassStats {
     let mut stats = PassStats::default();
-    let dff_cell = match view.library().variants("DFF").first() {
-        Some(c) => c.name.clone(),
-        None => return stats,
+    let Some(dff_cell) = view.library().variant_id("DFF", false) else {
+        return stats;
     };
     for _ in 0..max_moves {
         if view.is_cancelled() {
@@ -831,7 +819,7 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
                     enable: None,
                     dont_touch: false,
                 };
-                design.push_gate(dff, dff_cell.clone());
+                design.push_gate(dff, dff_cell);
                 new_inputs.push(nq);
             }
             design.netlist.gates[gate_i].inputs = new_inputs.into();
@@ -899,9 +887,8 @@ pub fn insert_clock_gating(design: &mut MappedDesign) -> PassStats {
 /// requirement.
 pub fn fix_hold(view: &mut TimingView) -> PassStats {
     let mut stats = PassStats::default();
-    let buf = match view.library().variants("BUF").first() {
-        Some(c) => c.name.clone(),
-        None => return stats,
+    let Some(buf) = view.library().variant_id("BUF", false) else {
+        return stats;
     };
     for _ in 0..8 {
         if view.is_cancelled() {
@@ -944,7 +931,7 @@ pub fn fix_hold(view: &mut TimingView) -> PassStats {
                     enable: None,
                     dont_touch: true,
                 };
-                design.push_gate(gate, buf.clone());
+                design.push_gate(gate, buf);
                 design.netlist.gates[gi].inputs[0] = new_net;
                 added += 1;
             }
@@ -1278,8 +1265,8 @@ mod tests {
         let c = Constraints { max_area: Some(0.0), ..cons(20.0) };
         sweep(&mut d);
         // Upsize everything first so recovery has something to reclaim.
-        for (gi, cell) in d.cells.clone().iter().enumerate() {
-            if let Some(up) = next_drive(&lib, cell, true) {
+        for gi in 0..d.cells.len() {
+            if let Some(up) = lib.next_drive(d.cells[gi], true) {
                 d.cells[gi] = up;
             }
         }
@@ -1451,10 +1438,10 @@ mod absorb_tests {
         let stats = absorb_inverters(&mut d, &lib);
         assert!(stats.removed > 0, "equality logic must offer merges");
         assert!(d.live_gates() < before);
-        assert!(d
-            .cells
-            .iter()
-            .any(|c| c.starts_with("NOR2") || c.starts_with("NAND2") || c.starts_with("XNOR2")));
+        let merged = |c: &chatls_liberty::Cell| {
+            ["NOR2", "NAND2", "XNOR2"].iter().any(|p| c.name.starts_with(p))
+        };
+        assert!(d.cells.iter().filter_map(|&c| lib.cell_by_id(c)).any(merged));
         assert_eq!(signature(&d, 1, 40), sig);
         d.compact();
         d.netlist.check().unwrap();

@@ -10,7 +10,7 @@
 //! **WNS** (worst negative slack, 0 when met), **CPS** (critical path
 //! slack, signed), **TNS** (total negative slack), and cell **area**.
 
-use crate::design::{MappedDesign, NO_CELL};
+use crate::design::MappedDesign;
 use chatls_liberty::Library;
 use chatls_verilog::netlist::GateKind;
 use serde::{Deserialize, Serialize};
@@ -205,24 +205,37 @@ impl SlackMap {
 /// Computes per-net arrival and required times (backward propagation from
 /// endpoints), for timing-driven optimization passes.
 pub fn slack_map(design: &MappedDesign, library: &Library, constraints: &Constraints) -> SlackMap {
-    let ids = design.cell_ids(library);
-    let gate_arcs = resolve_gate_arcs_from_ids(design, library, &ids);
-    let a = compute_arrivals_with(design, library, constraints, &ids, &gate_arcs);
-    let required =
-        required_times_with(design, library, constraints, &a.loads, &a.order, &ids, &gate_arcs);
+    let a = compute_arrivals(design, library, constraints);
+    let required = required_times(design, library, constraints, &a.loads, &a.order);
     SlackMap { arrival: a.arrival, required }
+}
+
+/// Delay in ns from input `pin` of library cell `cell` to its output under
+/// `load` fF; 0 when the cell has no such arc (constants).
+#[inline]
+pub(crate) fn arc_delay(library: &Library, cell: u32, pin: usize, load: f64) -> f64 {
+    library.input_arc(cell, pin).map_or(0.0, |arc| arc.delay(load))
+}
+
+/// Setup requirement in ns of register cell `cell` (0.05 without one).
+fn setup_time(library: &Library, cell: u32) -> f64 {
+    library.cell_by_id(cell).and_then(|c| c.ff.as_ref()).map_or(0.05, |ff| ff.setup)
+}
+
+/// Launch arrival in ns of a register output: its cell's clock-to-Q delay
+/// under `load` fF (0.1 without one).
+pub(crate) fn clk_to_q(library: &Library, cell: u32, load: f64) -> f64 {
+    library.cell_by_id(cell).and_then(|c| c.ff.as_ref()).map_or(0.1, |ff| ff.clk_to_q.delay(load))
 }
 
 /// Backward required-time propagation over `order` (any valid topological
 /// order of the live combinational gates; tombstoned entries are skipped).
-pub(crate) fn required_times_with(
+pub(crate) fn required_times(
     design: &MappedDesign,
     library: &Library,
     constraints: &Constraints,
     loads: &[f64],
     order: &[usize],
-    ids: &[u32],
-    gate_arcs: &[&[chatls_liberty::TimingArc]],
 ) -> Vec<f64> {
     let nets = design.netlist.nets.len();
     let mut required = vec![f64::INFINITY; nets];
@@ -230,9 +243,7 @@ pub(crate) fn required_times_with(
         if design.is_dead(gi) || !gate.kind.is_sequential() {
             continue;
         }
-        let setup = if ids[gi] == NO_CELL { None } else { library.cell_by_id(ids[gi]).ff.as_ref() }
-            .map(|ff| ff.setup)
-            .unwrap_or(0.05);
+        let setup = setup_time(library, design.cells[gi]);
         let d = gate.inputs[0] as usize;
         required[d] = required[d].min(constraints.clock_period - setup);
     }
@@ -245,14 +256,13 @@ pub(crate) fn required_times_with(
             continue;
         }
         let gate = &design.netlist.gates[gi];
-        let arcs = gate_arcs[gi];
         let out_req = required[gate.output as usize];
         if !out_req.is_finite() {
             continue;
         }
         let load = loads[gate.output as usize];
         for (pin, &inp) in gate.inputs.iter().enumerate() {
-            let r = out_req - arc_delay_from(arcs, pin, load);
+            let r = out_req - arc_delay(library, design.cells[gi], pin, load);
             if r < required[inp as usize] {
                 required[inp as usize] = r;
             }
@@ -266,22 +276,8 @@ pub(crate) fn compute_arrivals(
     library: &Library,
     constraints: &Constraints,
 ) -> Arrivals {
-    let ids = design.cell_ids(library);
-    let gate_arcs = resolve_gate_arcs_from_ids(design, library, &ids);
-    compute_arrivals_with(design, library, constraints, &ids, &gate_arcs)
-}
-
-/// [`compute_arrivals`] with pre-resolved cell ids and arc tables, so
-/// callers that also need them for other passes hash each cell name once.
-pub(crate) fn compute_arrivals_with(
-    design: &MappedDesign,
-    library: &Library,
-    constraints: &Constraints,
-    ids: &[u32],
-    gate_arcs: &[&[chatls_liberty::TimingArc]],
-) -> Arrivals {
     let nets = design.netlist.nets.len();
-    let loads = design.net_loads_from_ids(library, constraints.wire_load.as_deref(), ids);
+    let loads = design.net_loads(library, constraints.wire_load.as_deref());
     let mut arrival = vec![f64::NEG_INFINITY; nets];
 
     // Sources: primary inputs and register outputs.
@@ -317,72 +313,31 @@ pub(crate) fn compute_arrivals_with(
         if design.is_dead(gi) || !gate.kind.is_sequential() {
             continue;
         }
-        let clk_q = if ids[gi] == NO_CELL { None } else { library.cell_by_id(ids[gi]).ff.as_ref() }
-            .map(|ff| ff.clk_to_q.delay(loads[gate.output as usize]))
-            .unwrap_or(0.1);
-        arrival[gate.output as usize] = clk_q;
+        let out = gate.output as usize;
+        arrival[out] = clk_to_q(library, design.cells[gi], loads[out]);
     }
 
-    // Topological propagation over live combinational gates. Arc tables
-    // are resolved once per gate up front; the propagation itself runs
-    // serially, or level-parallel on the global pool for large designs.
+    // Topological propagation over live combinational gates, serially or
+    // level-parallel on the global pool for large designs.
     let driver = design.driver_map();
     let (order, cycles) = comb_topo(design, &driver);
     let pool = chatls_exec::ExecPool::global();
     if pool.threads() > 1 && order.len() - cycles >= LEVEL_PAR_MIN_GATES {
         propagate_arrivals_levelized(
             design,
+            library,
             &order,
             cycles,
             &driver,
-            gate_arcs,
             &loads,
             &mut arrival,
             pool,
         );
     } else {
-        propagate_arrivals_serial(design, &order, gate_arcs, &loads, &mut arrival);
+        propagate_arrivals_serial(design, library, &order, &loads, &mut arrival);
     }
 
     Arrivals { arrival, loads, order, driver, cycles }
-}
-
-/// Output-pin timing-arc table for every gate, resolved through the
-/// library's id index so each distinct cell is scanned once. Gates with no
-/// cell (constants), an unknown cell, or no output pin get an empty table,
-/// which [`arc_delay_from`] maps to a zero delay — exactly what
-/// [`arc_delay_for`] returns for those cases.
-pub(crate) fn resolve_gate_arcs_from_ids<'a>(
-    design: &MappedDesign,
-    library: &'a Library,
-    ids: &[u32],
-) -> Vec<&'a [chatls_liberty::TimingArc]> {
-    const EMPTY: &[chatls_liberty::TimingArc] = &[];
-    let mut by_id: Vec<Option<&'a [chatls_liberty::TimingArc]>> = vec![None; library.cells.len()];
-    ids.iter()
-        .take(design.netlist.gates.len())
-        .map(|&id| {
-            if id == NO_CELL {
-                return EMPTY;
-            }
-            *by_id[id as usize].get_or_insert_with(|| {
-                library
-                    .cell_by_id(id)
-                    .pins
-                    .iter()
-                    .find(|p| p.direction == chatls_liberty::PinDir::Output)
-                    .map(|o| o.timing.as_slice())
-                    .unwrap_or(EMPTY)
-            })
-        })
-        .collect()
-}
-
-/// Arc delay for a gate's `pin`-th input from its resolved arc table —
-/// same arithmetic as [`arc_delay_for`] without the per-call pin scan.
-#[inline]
-pub(crate) fn arc_delay_from(arcs: &[chatls_liberty::TimingArc], pin: usize, load: f64) -> f64 {
-    arcs.get(pin).or_else(|| arcs.first()).map(|arc| arc.delay(load)).unwrap_or(0.0)
 }
 
 /// Minimum acyclic gate count before arrival propagation fans out on the
@@ -393,14 +348,14 @@ const LEVEL_PAR_MIN_GATES: usize = 8192;
 /// taking `max(input arrival + arc delay)` over its pins.
 pub(crate) fn propagate_arrivals_serial(
     design: &MappedDesign,
+    library: &Library,
     order: &[usize],
-    gate_arcs: &[&[chatls_liberty::TimingArc]],
     loads: &[f64],
     arrival: &mut [f64],
 ) {
     for &gi in order {
         let gate = &design.netlist.gates[gi];
-        let arcs = gate_arcs[gi];
+        let cell = design.cells[gi];
         let out_load = loads[gate.output as usize];
         let mut worst = match gate.kind {
             GateKind::Const0 | GateKind::Const1 => 0.0,
@@ -410,7 +365,7 @@ pub(crate) fn propagate_arrivals_serial(
             // Excluded launch points carry -inf and must not re-enter as
             // t=0: a false path stays false through the whole cone.
             let in_arr = arrival[inp as usize];
-            let arc_delay = arc_delay_from(arcs, pin, out_load);
+            let arc_delay = arc_delay(library, cell, pin, out_load);
             if in_arr + arc_delay > worst {
                 worst = in_arr + arc_delay;
             }
@@ -447,10 +402,10 @@ unsafe impl Send for SharedF64 {}
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn propagate_arrivals_levelized(
     design: &MappedDesign,
+    library: &Library,
     order: &[usize],
     cycles: usize,
     driver: &[Option<usize>],
-    gate_arcs: &[&[chatls_liberty::TimingArc]],
     loads: &[f64],
     arrival: &mut [f64],
     pool: &chatls_exec::ExecPool,
@@ -513,7 +468,7 @@ pub(crate) fn propagate_arrivals_levelized(
             for i in s..e {
                 let gi = by_level[i] as usize;
                 let gate = &design.netlist.gates[gi];
-                let arcs = gate_arcs[gi];
+                let cell = design.cells[gi];
                 let out_load = loads[gate.output as usize];
                 let mut w = match gate.kind {
                     GateKind::Const0 | GateKind::Const1 => 0.0,
@@ -524,7 +479,7 @@ pub(crate) fn propagate_arrivals_levelized(
                     // level (or at initialization); no worker writes the
                     // arrival array during the compute phase.
                     let in_arr = unsafe { *arr_ref.0.add(inp as usize) };
-                    let arc_delay = arc_delay_from(arcs, pin, out_load);
+                    let arc_delay = arc_delay(library, cell, pin, out_load);
                     if in_arr + arc_delay > w {
                         w = in_arr + arc_delay;
                     }
@@ -555,7 +510,7 @@ pub(crate) fn propagate_arrivals_levelized(
     });
 
     // Cycle remnants: pessimistic serial replay, as in the serial walk.
-    propagate_arrivals_serial(design, cycle_tail, gate_arcs, loads, arrival);
+    propagate_arrivals_serial(design, library, cycle_tail, loads, arrival);
 }
 
 /// Runs static timing analysis.
@@ -585,30 +540,6 @@ pub(crate) fn report_from_parts(
     driver: &[Option<usize>],
     cycles: usize,
 ) -> TimingReport {
-    let setup_of = |gi: usize| {
-        library
-            .cell(&design.cells[gi])
-            .and_then(|c| c.ff.as_ref())
-            .map(|ff| ff.setup)
-            .unwrap_or(0.05)
-    };
-    report_from_parts_with(design, library, constraints, arrival, loads, driver, cycles, &setup_of)
-}
-
-/// [`report_from_parts`] with register setup times resolved through
-/// `setup_of` — the incremental timing graph passes its cached resolver so
-/// report construction skips the per-gate library name scans.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn report_from_parts_with(
-    design: &MappedDesign,
-    library: &Library,
-    constraints: &Constraints,
-    arrival: &[f64],
-    loads: &[f64],
-    driver: &[Option<usize>],
-    cycles: usize,
-    setup_of: &dyn Fn(usize) -> f64,
-) -> TimingReport {
     // Endpoints.
     let registers = design.netlist.gates.iter().filter(|g| g.kind.is_sequential()).count();
     let mut endpoints = Vec::with_capacity(registers + design.netlist.outputs.len());
@@ -616,7 +547,7 @@ pub(crate) fn report_from_parts_with(
         if design.is_dead(gi) || !gate.kind.is_sequential() {
             continue;
         }
-        let setup = setup_of(gi);
+        let setup = setup_time(library, design.cells[gi]);
         let d_net = gate.inputs[0] as usize;
         let arr = arrival[d_net];
         if !arr.is_finite() {
@@ -702,26 +633,21 @@ pub(crate) fn min_arrivals_in(
         if design.is_dead(gi) || !gate.kind.is_sequential() {
             continue;
         }
-        let clk_q = library
-            .cell(&design.cells[gi])
-            .and_then(|c| c.ff.as_ref())
-            .map(|ff| ff.clk_to_q.intrinsic)
-            .unwrap_or(0.05);
-        arrival[gate.output as usize] = clk_q;
+        let clk_q = library.cell_by_id(design.cells[gi]).and_then(|c| c.ff.as_ref());
+        arrival[gate.output as usize] = clk_q.map_or(0.05, |ff| ff.clk_to_q.intrinsic);
     }
     for &gi in order {
         if design.is_dead(gi) {
             continue;
         }
         let gate = &design.netlist.gates[gi];
-        let cell = library.cell(&design.cells[gi]);
         let mut best = match gate.kind {
             GateKind::Const0 | GateKind::Const1 => 0.0,
             _ => f64::INFINITY,
         };
         for (pin, &inp) in gate.inputs.iter().enumerate() {
             let in_arr = arrival[inp as usize].max(0.0);
-            let arc = intrinsic_for(cell, pin);
+            let arc = library.input_arc(design.cells[gi], pin).map_or(0.0, |arc| arc.intrinsic);
             if in_arr + arc < best {
                 best = in_arr + arc;
             }
@@ -731,19 +657,6 @@ pub(crate) fn min_arrivals_in(
         }
     }
     arrival
-}
-
-fn intrinsic_for(cell: Option<&chatls_liberty::Cell>, pin: usize) -> f64 {
-    match cell {
-        None => 0.0,
-        Some(c) => c
-            .pins
-            .iter()
-            .find(|p| p.direction == chatls_liberty::PinDir::Output)
-            .and_then(|o| o.timing.get(pin).or_else(|| o.timing.first()))
-            .map(|arc| arc.intrinsic)
-            .unwrap_or(0.0),
-    }
 }
 
 /// Hold-timing report: slack of every register data pin against its hold
@@ -770,10 +683,9 @@ pub(crate) fn hold_from_min(
             continue;
         }
         let hold = library
-            .cell(&design.cells[gi])
+            .cell_by_id(design.cells[gi])
             .and_then(|c| c.ff.as_ref())
-            .map(|ff| ff.hold)
-            .unwrap_or(0.01);
+            .map_or(0.01, |ff| ff.hold);
         let arr = min_arr[gate.inputs[0] as usize];
         let arr = if arr.is_finite() { arr.max(0.0) } else { 0.0 };
         endpoints.push(EndpointSlack {
@@ -837,25 +749,6 @@ pub(crate) fn apply_exceptions(endpoints: &mut Vec<EndpointSlack>, constraints: 
                     ep.required += constraints.clock_period * (*n as f64 - 1.0);
                     ep.slack = ep.required - ep.arrival;
                 }
-            }
-        }
-    }
-}
-
-/// Arc delay for a cell's `pin`-th input driving `load`.
-pub(crate) fn arc_delay_for(cell: Option<&chatls_liberty::Cell>, pin: usize, load: f64) -> f64 {
-    match cell {
-        None => 0.0,
-        Some(c) => {
-            let out = c.pins.iter().find(|p| p.direction == chatls_liberty::PinDir::Output);
-            match out {
-                None => 0.0,
-                Some(o) => o
-                    .timing
-                    .get(pin)
-                    .or_else(|| o.timing.first())
-                    .map(|arc| arc.delay(load))
-                    .unwrap_or(0.0),
             }
         }
     }
@@ -993,7 +886,9 @@ pub(crate) fn trace_path(
                 let gate = &design.netlist.gates[gi];
                 steps.push(PathStep {
                     net: design.netlist.nets[cur as usize].name.clone(),
-                    cell: design.cells[gi].clone(),
+                    cell: library
+                        .cell_by_id(design.cells[gi])
+                        .map_or(String::new(), |c| c.name.clone()),
                     module_path: gate.path.clone(),
                     arrival: arrival[cur as usize].max(0.0),
                 });
@@ -1001,12 +896,12 @@ pub(crate) fn trace_path(
                     break;
                 }
                 // Walk to the input that set the max arrival.
-                let cell = library.cell(&design.cells[gi]);
                 let out_load = loads[gate.output as usize];
                 let mut best_in = gate.inputs[0];
                 let mut best_arr = f64::NEG_INFINITY;
                 for (pin, &inp) in gate.inputs.iter().enumerate() {
-                    let a = arrival[inp as usize].max(0.0) + arc_delay_for(cell, pin, out_load);
+                    let a = arrival[inp as usize].max(0.0)
+                        + arc_delay(library, design.cells[gi], pin, out_load);
                     if a > best_arr {
                         best_arr = a;
                         best_in = inp;
@@ -1182,9 +1077,7 @@ mod tests {
     /// asserts every arrival is bitwise equal at each worker count.
     fn assert_levelized_matches_serial(d: &MappedDesign, label: &str) {
         let lib = nangate45();
-        let ids = d.cell_ids(&lib);
-        let gate_arcs = resolve_gate_arcs_from_ids(d, &lib, &ids);
-        let loads = d.net_loads_from_ids(&lib, None, &ids);
+        let loads = d.net_loads(&lib, None);
         let driver = d.driver_map();
         let (order, cycles) = comb_topo(d, &driver);
         let mut seed = vec![f64::NEG_INFINITY; d.netlist.nets.len()];
@@ -1192,13 +1085,11 @@ mod tests {
             seed[*id as usize] = 0.0;
         }
         let mut serial = seed.clone();
-        propagate_arrivals_serial(d, &order, &gate_arcs, &loads, &mut serial);
+        propagate_arrivals_serial(d, &lib, &order, &loads, &mut serial);
         for workers in [1usize, 2, 4] {
             let pool = chatls_exec::ExecPool::new(workers);
             let mut par = seed.clone();
-            propagate_arrivals_levelized(
-                d, &order, cycles, &driver, &gate_arcs, &loads, &mut par, &pool,
-            );
+            propagate_arrivals_levelized(d, &lib, &order, cycles, &driver, &loads, &mut par, &pool);
             for (i, (a, b)) in par.iter().zip(&serial).enumerate() {
                 assert_eq!(
                     a.to_bits(),

@@ -37,21 +37,27 @@
 //! cycle remnants fall back to a full rebuild on any edit, since there the
 //! single-pass order itself defines the (pessimistic) result.
 //!
-//! `CHATLS_STA_CHECK=1` (or [`set_sta_check`]) arms an oracle mode: every
-//! query recomputes from scratch and asserts bitwise equality of
+//! Cell data comes from the [`Library`] by each gate's cell id, exactly as
+//! `sta::analyze` reads it, so the graph keeps no per-cell state of its
+//! own: a resize changes the id, and the next flush reads the new cell.
+//!
+//! `CHATLS_STA_CHECK=1` (or a live [`StaCheckGuard`]) arms an oracle mode:
+//! every query recomputes from scratch and asserts bitwise equality of
 //! WNS/CPS/TNS and every endpoint slack.
 
-use crate::design::{cell_id_of, MappedDesign};
+use crate::design::MappedDesign;
 use crate::passes::PassStats;
 use crate::sta::{self, Constraints, EndpointSlack, SlackMap, TimingException, TimingReport};
 use chatls_liberty::{Library, WireLoadModel};
 use chatls_verilog::netlist::GateKind;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-static STA_CHECK_FORCE: AtomicBool = AtomicBool::new(false);
+/// Live [`StaCheckGuard`]s in the process. The count publishes no other
+/// data, so relaxed accesses suffice.
+static STA_CHECK_GUARDS: AtomicUsize = AtomicUsize::new(0);
 
 /// The process-wide `synth.sta.*` counters in the obs registry, resolved
 /// once. These are the single source of truth — [`sta_telemetry`] reads
@@ -108,17 +114,32 @@ fn sta_check_env() -> bool {
     })
 }
 
-/// True when oracle cross-checking is armed (`CHATLS_STA_CHECK=1` or
-/// [`set_sta_check`]).
+/// True when oracle cross-checking is armed: `CHATLS_STA_CHECK=1`, or
+/// while any [`StaCheckGuard`] lives.
 pub fn sta_check_enabled() -> bool {
-    STA_CHECK_FORCE.load(Ordering::Relaxed) || sta_check_env()
+    STA_CHECK_GUARDS.load(Ordering::Relaxed) > 0 || sta_check_env()
 }
 
-/// Programmatically arms (or disarms) oracle cross-checking, independent of
-/// the `CHATLS_STA_CHECK` environment variable. Tests use this to avoid
-/// process-global env races.
-pub fn set_sta_check(on: bool) {
-    STA_CHECK_FORCE.store(on, Ordering::Relaxed);
+/// Arms oracle cross-checking for the whole process while it lives,
+/// independent of the `CHATLS_STA_CHECK` environment variable. Guards
+/// count: dropping one leaves the oracle armed while another lives, so
+/// concurrent tests cannot disarm each other's checked runs.
+#[must_use = "the oracle is armed only while the guard lives"]
+#[derive(Debug)]
+pub struct StaCheckGuard(());
+
+impl StaCheckGuard {
+    /// Arms the oracle until the returned guard drops.
+    pub fn arm() -> Self {
+        STA_CHECK_GUARDS.fetch_add(1, Ordering::Relaxed);
+        Self(())
+    }
+}
+
+impl Drop for StaCheckGuard {
+    fn drop(&mut self) {
+        STA_CHECK_GUARDS.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// How a net sources its arrival time when it has no live driver gate.
@@ -233,19 +254,6 @@ pub struct TimingGraph {
     /// of one net re-sums it once, not once per edit.
     load_dirty: Vec<usize>,
     load_dirty_flag: Vec<bool>,
-    /// Gate → index into `library.cells` (`u32::MAX` = unmapped/unknown),
-    /// resolved through `Library::cell_id` like `sta::analyze` does. A
-    /// session's library never changes, so the persistent graph resolves
-    /// each gate once per rebuild and patches single entries on resize.
-    cell_idx: Vec<u32>,
-    /// Per-library-cell input pin capacitances, in pin order.
-    cell_input_caps: Vec<Vec<f64>>,
-    /// Per-library-cell position of the output pin.
-    cell_out_pin: Vec<Option<usize>>,
-    /// Per-library-cell next drive variant up/down (`u32::MAX` = none),
-    /// precomputed so sizing passes skip the scan-and-sort per candidate.
-    cell_next_up: Vec<u32>,
-    cell_next_down: Vec<u32>,
     /// Per-graph copy of the telemetry counters (the process-wide atomics
     /// aggregate across threads; this one is race-free for a single graph).
     local: StaTelemetry,
@@ -284,11 +292,6 @@ impl TimingGraph {
             in_dirty: Vec::new(),
             load_dirty: Vec::new(),
             load_dirty_flag: Vec::new(),
-            cell_idx: Vec::new(),
-            cell_input_caps: Vec::new(),
-            cell_out_pin: Vec::new(),
-            cell_next_up: Vec::new(),
-            cell_next_down: Vec::new(),
             local: StaTelemetry::default(),
         }
     }
@@ -386,11 +389,9 @@ impl TimingGraph {
         true
     }
 
-    /// Full rebuild through the oracle path (`sta::compute_arrivals_with`).
+    /// Full rebuild through the oracle path (`sta::compute_arrivals`).
     fn rebuild(&mut self, design: &MappedDesign, library: &Library, constraints: &Constraints) {
-        let ids = design.cell_ids(library);
-        let arcs = sta::resolve_gate_arcs_from_ids(design, library, &ids);
-        let a = sta::compute_arrivals_with(design, library, constraints, &ids, &arcs);
+        let a = sta::compute_arrivals(design, library, constraints);
         self.arrival = a.arrival;
         self.loads = a.loads;
         self.order = a.order;
@@ -471,8 +472,8 @@ impl TimingGraph {
             if design.is_dead(gi) || !gate.kind.is_sequential() {
                 continue;
             }
-            self.source[gate.output as usize] =
-                seq_launch(design, library, gi, self.loads[gate.output as usize]);
+            let out = gate.output as usize;
+            self.source[out] = sta::clk_to_q(library, design.cells[gi], self.loads[out]);
         }
         self.gates_len = design.netlist.gates.len();
         self.nets_len = nets;
@@ -480,54 +481,8 @@ impl TimingGraph {
         self.in_dirty = vec![false; self.gates_len];
         self.load_dirty.clear();
         self.load_dirty_flag = vec![false; nets];
-        // Per-library cell data, resolved once per library.
-        if self.cell_input_caps.len() != library.cells.len() {
-            self.cell_input_caps = library
-                .cells
-                .iter()
-                .map(|c| {
-                    c.pins
-                        .iter()
-                        .filter(|p| p.direction == chatls_liberty::PinDir::Input)
-                        .map(|p| p.capacitance)
-                        .collect()
-                })
-                .collect();
-            self.cell_out_pin = library
-                .cells
-                .iter()
-                .map(|c| c.pins.iter().position(|p| p.direction == chatls_liberty::PinDir::Output))
-                .collect();
-            let resolve_next = |up: bool| -> Vec<u32> {
-                library
-                    .cells
-                    .iter()
-                    .map(|c| {
-                        crate::passes::next_drive(library, &c.name, up)
-                            .map_or(u32::MAX, |n| cell_id_of(library, &n))
-                    })
-                    .collect()
-            };
-            self.cell_next_up = resolve_next(true);
-            self.cell_next_down = resolve_next(false);
-        }
-        self.cell_idx = ids;
         self.full_dirty = false;
         self.derived_stale();
-    }
-
-    /// Arc delay of input `pin` of the cell at library index `ci` under
-    /// `load` — same arithmetic as [`sta::arc_delay_for`], resolved through
-    /// the per-graph caches instead of name scans.
-    fn arc_delay_cached(&self, library: &Library, ci: u32, pin: usize, load: f64) -> f64 {
-        if ci == u32::MAX {
-            return 0.0;
-        }
-        let Some(oi) = self.cell_out_pin[ci as usize] else {
-            return 0.0;
-        };
-        let o = &library.cells[ci as usize].pins[oi];
-        o.timing.get(pin).or_else(|| o.timing.first()).map(|arc| arc.delay(load)).unwrap_or(0.0)
     }
 
     /// Source arrival of `net` as a primary input under the cached
@@ -573,14 +528,7 @@ impl TimingGraph {
         let mut fanout = 0u32;
         for &(gi, pin) in &self.sinks[net] {
             fanout += 1;
-            let ci = self.cell_idx[gi];
-            if ci == u32::MAX {
-                // Unmapped or unknown cell contributes no pin cap, matching
-                // the `net_loads` body.
-                continue;
-            }
-            let caps = &self.cell_input_caps[ci as usize];
-            if let Some(c) = caps.get(pin).or_else(|| caps.first()) {
+            if let Some(c) = library.input_cap(design.cells[gi], pin) {
                 cap += c;
             }
         }
@@ -606,7 +554,7 @@ impl TimingGraph {
         let live_driver = self.driver[net].filter(|&gi| !design.is_dead(gi));
         match live_driver {
             Some(gi) if design.netlist.gates[gi].kind.is_sequential() => {
-                let src = seq_launch(design, library, gi, self.loads[net]);
+                let src = sta::clk_to_q(library, design.cells[gi], self.loads[net]);
                 self.source[net] = src;
                 if src.to_bits() != self.arrival[net].to_bits() {
                     self.arrival[net] = src;
@@ -642,31 +590,6 @@ impl TimingGraph {
         self.heap.len() > (design.netlist.gates.len() / 2).max(1024)
     }
 
-    /// O(1) next-drive lookup through the per-library tables, or `None`
-    /// when the caches cannot be trusted (graph stale or different
-    /// library); the inner option is the [`crate::passes::next_drive`]
-    /// result.
-    pub(crate) fn next_drive_cached(
-        &self,
-        design: &MappedDesign,
-        library: &Library,
-        gi: usize,
-        up: bool,
-    ) -> Option<Option<String>> {
-        if self.full_dirty
-            || self.geometry_mismatch(design)
-            || self.cell_next_up.len() != library.cells.len()
-        {
-            return None;
-        }
-        let ci = self.cell_idx[gi];
-        if ci == u32::MAX {
-            return Some(None);
-        }
-        let n = if up { self.cell_next_up[ci as usize] } else { self.cell_next_down[ci as usize] };
-        Some((n != u32::MAX).then(|| library.cells[n as usize].name.clone()))
-    }
-
     fn mark_load_dirty(&mut self, net: usize) {
         if !self.load_dirty_flag[net] {
             self.load_dirty_flag[net] = true;
@@ -681,7 +604,6 @@ impl TimingGraph {
             return;
         }
         self.derived_stale();
-        self.cell_idx[gi] = cell_id_of(library, &design.cells[gi]);
         let gate = &design.netlist.gates[gi];
         let out = gate.output as usize;
         let seq = gate.kind.is_sequential();
@@ -693,7 +615,7 @@ impl TimingGraph {
         if seq {
             // Refresh the launch value now; if the output load is itself
             // dirty, the flush re-fires this with the final load.
-            let src = seq_launch(design, library, gi, self.loads[out]);
+            let src = sta::clk_to_q(library, design.cells[gi], self.loads[out]);
             self.source[out] = src;
             if src.to_bits() != self.arrival[out].to_bits() {
                 self.arrival[out] = src;
@@ -764,7 +686,6 @@ impl TimingGraph {
             if self.driver[out] != Some(gi) {
                 continue;
             }
-            let ci = self.cell_idx[gi];
             let out_load = self.loads[out];
             let mut worst = match gate.kind {
                 GateKind::Const0 | GateKind::Const1 => 0.0,
@@ -772,7 +693,7 @@ impl TimingGraph {
             };
             for (pin, &inp) in gate.inputs.iter().enumerate() {
                 let in_arr = self.arrival[inp as usize];
-                let arc_delay = self.arc_delay_cached(library, ci, pin, out_load);
+                let arc_delay = sta::arc_delay(library, design.cells[gi], pin, out_load);
                 if in_arr + arc_delay > worst {
                     worst = in_arr + arc_delay;
                 }
@@ -793,81 +714,21 @@ impl TimingGraph {
     ) -> &TimingReport {
         self.ensure(design, library, constraints);
         if self.report.is_none() {
-            let report = {
-                let setup_of = |gi: usize| {
-                    let ci = self.cell_idx[gi];
-                    if ci == u32::MAX {
-                        0.05
-                    } else {
-                        library.cells[ci as usize].ff.as_ref().map(|ff| ff.setup).unwrap_or(0.05)
-                    }
-                };
-                sta::report_from_parts_with(
-                    design,
-                    library,
-                    constraints,
-                    &self.arrival,
-                    &self.loads,
-                    &self.driver,
-                    self.cycles,
-                    &setup_of,
-                )
-            };
-            self.report = Some(report);
+            self.report = Some(sta::report_from_parts(
+                design,
+                library,
+                constraints,
+                &self.arrival,
+                &self.loads,
+                &self.driver,
+                self.cycles,
+            ));
         }
         if sta_check_enabled() {
             let fresh = sta::analyze(design, library, constraints);
             check_reports(self.report.as_ref().unwrap(), &fresh);
         }
         self.report.as_ref().unwrap()
-    }
-
-    /// Backward min-required pass over the cached order — same arithmetic
-    /// as [`sta::required_times`], resolved through the per-graph caches.
-    fn required_cached(
-        &self,
-        design: &MappedDesign,
-        library: &Library,
-        constraints: &Constraints,
-    ) -> Vec<f64> {
-        let nets = design.netlist.nets.len();
-        let mut required = vec![f64::INFINITY; nets];
-        for (gi, gate) in design.netlist.gates.iter().enumerate() {
-            if design.is_dead(gi) || !gate.kind.is_sequential() {
-                continue;
-            }
-            let ci = self.cell_idx[gi];
-            let setup = if ci == u32::MAX {
-                0.05
-            } else {
-                library.cells[ci as usize].ff.as_ref().map(|ff| ff.setup).unwrap_or(0.05)
-            };
-            let d = gate.inputs[0] as usize;
-            required[d] = required[d].min(constraints.clock_period - setup);
-        }
-        for (_, id) in &design.netlist.outputs {
-            let r = constraints.clock_period - constraints.output_delay;
-            required[*id as usize] = required[*id as usize].min(r);
-        }
-        for &gi in self.order.iter().rev() {
-            if design.is_dead(gi) {
-                continue;
-            }
-            let gate = &design.netlist.gates[gi];
-            let ci = self.cell_idx[gi];
-            let out_req = required[gate.output as usize];
-            if !out_req.is_finite() {
-                continue;
-            }
-            let load = self.loads[gate.output as usize];
-            for (pin, &inp) in gate.inputs.iter().enumerate() {
-                let r = out_req - self.arc_delay_cached(library, ci, pin, load);
-                if r < required[inp as usize] {
-                    required[inp as usize] = r;
-                }
-            }
-        }
-        required
     }
 
     fn slack_map_mut(
@@ -878,7 +739,8 @@ impl TimingGraph {
     ) -> SlackMap {
         self.ensure(design, library, constraints);
         if self.required.is_none() {
-            self.required = Some(self.required_cached(design, library, constraints));
+            self.required =
+                Some(sta::required_times(design, library, constraints, &self.loads, &self.order));
         }
         let map =
             SlackMap { arrival: self.arrival.clone(), required: self.required.clone().unwrap() };
@@ -921,15 +783,6 @@ impl TimingGraph {
         }
         self.hold.as_ref().unwrap()
     }
-}
-
-/// Launch arrival of a live sequential gate's output under `load`.
-fn seq_launch(design: &MappedDesign, library: &Library, gi: usize, load: f64) -> f64 {
-    library
-        .cell(&design.cells[gi])
-        .and_then(|c| c.ff.as_ref())
-        .map(|ff| ff.clk_to_q.delay(load))
-        .unwrap_or(0.1)
 }
 
 fn check_vec(cached: &[f64], fresh: &[f64], what: &str) {
@@ -1045,20 +898,9 @@ impl<'a> TimingView<'a> {
         self.graph.hold_mut(self.design, self.library, self.constraints)
     }
 
-    /// Next drive strength up/down for gate `gi`, equivalent to
-    /// [`crate::passes::next_drive`] on its current cell. Served O(1) from
-    /// the graph's per-library tables when they are current; falls back to
-    /// the library scan otherwise. Never flushes pending edits.
-    pub fn next_drive(&self, gi: usize, up: bool) -> Option<String> {
-        match self.graph.next_drive_cached(self.design, self.library, gi, up) {
-            Some(cached) => cached,
-            None => crate::passes::next_drive(self.library, &self.design.cells[gi], up),
-        }
-    }
-
     /// Reassigns gate `gi`'s library cell; dirties its input-net loads and
     /// its fanout cone.
-    pub fn resize_cell(&mut self, gi: usize, cell: String) {
+    pub fn resize_cell(&mut self, gi: usize, cell: u32) {
         self.design.cells[gi] = cell;
         self.graph.note_resize(self.design, self.library, gi);
     }
@@ -1068,31 +910,6 @@ impl<'a> TimingView<'a> {
     pub fn kill_gate(&mut self, gi: usize) {
         self.design.kill(gi);
         self.graph.note_kill(self.design, self.library, gi);
-    }
-
-    /// Repoints input `pin` of gate `gi` to `net`. Structural: invalidates
-    /// the graph (the next query rebuilds).
-    pub fn rewire_input(&mut self, gi: usize, pin: usize, net: u32) {
-        self.design.netlist.gates[gi].inputs[pin] = net;
-        self.graph.invalidate();
-    }
-
-    /// Repoints gate `gi`'s output to `net`. Structural: invalidates.
-    pub fn rewire_output(&mut self, gi: usize, net: u32) {
-        self.design.netlist.gates[gi].output = net;
-        self.graph.invalidate();
-    }
-
-    /// Appends a gate (geometry change: invalidates); returns its index.
-    pub fn push_gate(&mut self, gate: chatls_verilog::netlist::Gate, cell: String) -> usize {
-        self.graph.invalidate();
-        self.design.push_gate(gate, cell)
-    }
-
-    /// Adds a net (geometry change: invalidates); returns its id.
-    pub fn add_net(&mut self, name: String) -> u32 {
-        self.graph.invalidate();
-        self.design.netlist.add_net(name)
     }
 
     /// Arbitrary design mutation by a pass that counts every edit it makes
@@ -1149,6 +966,11 @@ mod tests {
         Constraints { clock_period: period, ..Constraints::default() }
     }
 
+    /// True when library cell `cell` exists and its name starts with `prefix`.
+    fn named(lib: &Library, cell: u32, prefix: &str) -> bool {
+        lib.cell_by_id(cell).is_some_and(|c| c.name.starts_with(prefix))
+    }
+
     const PIPE: &str = "module pipe(input clk, input [15:0] a, b, output reg [15:0] q);
         always @(posedge clk) q <= (a + b) + (a ^ b) + (a & b);
     endmodule";
@@ -1176,11 +998,11 @@ mod tests {
             view.report();
             // Upsize a handful of gates through the hook.
             let candidates: Vec<usize> = (0..view.design().netlist.gates.len())
-                .filter(|&gi| view.design().cells[gi].starts_with("XOR2"))
+                .filter(|&gi| named(&lib, view.design().cells[gi], "XOR2"))
                 .take(4)
                 .collect();
             for gi in candidates {
-                let next = crate::passes::next_drive(&lib, &view.design().cells[gi], true).unwrap();
+                let next = lib.next_drive(view.design().cells[gi], true).unwrap();
                 view.resize_cell(gi, next);
             }
             let incremental = view.report().clone();
@@ -1202,7 +1024,7 @@ mod tests {
         view.report();
         // Kill a gate with no sinks after sweep would — here, any XOR; the
         // design becomes logically wrong but timing must still match.
-        let victim = view.design().cells.iter().position(|c| c.starts_with("XOR2")).unwrap();
+        let victim = view.design().cells.iter().position(|&c| named(&lib, c, "XOR2")).unwrap();
         view.kill_gate(victim);
         let incremental = view.report().clone();
         let fresh = sta::analyze(view.design(), &lib, &c);
@@ -1320,8 +1142,9 @@ mod tests {
 
     #[test]
     fn duplicate_cell_names_resolve_like_analyze() {
-        // A second cell under an existing name: `Library::cell_id` resolves
-        // the name to the last one, and the graph must agree.
+        // A second cell under an existing name, appended after mapping: the
+        // design's ids still name the cells it was mapped to, and the graph
+        // must read them exactly as the analyzer does.
         let mut d = map(PIPE, "pipe");
         let mut lib = nangate45();
         let mut slow = lib.cell("DFF_X1").expect("DFF_X1").clone();
@@ -1332,6 +1155,31 @@ mod tests {
         let c = cons(0.6);
         let mut g = TimingGraph::new();
         assert_matches_oracles(&mut TimingView::new(&mut d, &mut g, &lib, &c), &lib, &c);
+    }
+
+    #[test]
+    fn oracle_stays_armed_until_the_last_guard_drops() {
+        // No other test in this binary arms the oracle.
+        let (armed, dropped) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let (both, after_one) = std::thread::scope(|s| {
+            let other = s.spawn(|| {
+                let guard = StaCheckGuard::arm();
+                armed.wait();
+                dropped.wait();
+                let after_one = sta_check_enabled();
+                drop(guard);
+                after_one
+            });
+            let guard = StaCheckGuard::arm();
+            armed.wait();
+            let both = sta_check_enabled();
+            drop(guard);
+            dropped.wait();
+            (both, other.join().expect("guard thread"))
+        });
+        assert!(both, "armed while both guards live");
+        assert!(after_one, "one dropped guard must not disarm the other's run");
+        assert_eq!(sta_check_enabled(), sta_check_env(), "disarmed once the last guard drops");
     }
 
     #[test]
@@ -1363,9 +1211,8 @@ mod tests {
         let mut view = TimingView::new(&mut d, &mut g, &lib, &c);
         view.report();
         for gi in 0..view.design().netlist.gates.len() {
-            if view.design().cells[gi].starts_with("NAND2") {
-                if let Some(next) = crate::passes::next_drive(&lib, &view.design().cells[gi], true)
-                {
+            if named(&lib, view.design().cells[gi], "NAND2") {
+                if let Some(next) = lib.next_drive(view.design().cells[gi], true) {
                     view.resize_cell(gi, next);
                 }
             }

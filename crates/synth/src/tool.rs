@@ -306,17 +306,33 @@ pub fn known_commands() -> Vec<&'static str> {
     command_manual().iter().map(|e| e.name).collect()
 }
 
+/// Commands [`SynthSession::run_script`] accepts and only logs: flow steps
+/// this tool performs implicitly and Tcl housekeeping.
+pub const NO_OP_COMMANDS: &[&str] = &[
+    "read_verilog",
+    "analyze",
+    "elaborate",
+    "current_design",
+    "link",
+    "echo",
+    "set",
+    "lappend",
+    "exit",
+    "quit",
+];
+
 /// Commands [`SynthSession::run_script`] accepts but the manual does not
-/// document: Tcl housekeeping and flow aliases treated as no-ops.
-pub fn accepted_aliases() -> &'static [&'static str] {
-    &["analyze", "elaborate", "echo", "set", "lappend", "exit", "quit"]
+/// document: the [`NO_OP_COMMANDS`] without a manual entry.
+pub fn accepted_aliases() -> Vec<&'static str> {
+    let manual = known_commands();
+    NO_OP_COMMANDS.iter().copied().filter(|name| !manual.contains(name)).collect()
 }
 
 /// Every command name [`SynthSession::run_script`] accepts (manual entries
 /// plus the no-op aliases).
 pub fn accepted_commands() -> Vec<&'static str> {
     let mut names = known_commands();
-    names.extend_from_slice(accepted_aliases());
+    names.extend(accepted_aliases());
     names
 }
 
@@ -603,10 +619,9 @@ pub struct SessionTemplate {
 
 /// The one construction path for synthesis sessions.
 ///
-/// Collects everything session setup used to scatter across constructors
-/// and process-global switches — the design, an observability context, the
-/// STA-check oracle flag, a thread-count hint — then builds either a
-/// [`SessionTemplate`] (for stamping many sessions) or a single
+/// Collects everything session setup used to scatter across constructors —
+/// the design, an observability context, a cancel token — then builds
+/// either a [`SessionTemplate`] (for stamping many sessions) or a single
 /// [`SynthSession`]:
 ///
 /// ```
@@ -629,24 +644,14 @@ pub struct SessionBuilder {
     netlist: Netlist,
     library: Library,
     obs: chatls_obs::ObsCtx,
-    sta_check: Option<bool>,
-    threads: Option<usize>,
     cancel: CancelToken,
 }
 
 impl SessionBuilder {
     /// Starts a builder over `netlist` targeting `library`. Defaults: a
-    /// disabled observability context, STA-check oracle left as-is, no
-    /// thread hint, a never-firing cancel token.
+    /// disabled observability context and a never-firing cancel token.
     pub fn new(netlist: Netlist, library: Library) -> Self {
-        Self {
-            netlist,
-            library,
-            obs: chatls_obs::ObsCtx::disabled(),
-            sta_check: None,
-            threads: None,
-            cancel: CancelToken::never(),
-        }
+        Self { netlist, library, obs: chatls_obs::ObsCtx::disabled(), cancel: CancelToken::never() }
     }
 
     /// Attaches a cooperative cancel token; sessions built (or stamped
@@ -664,38 +669,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Arms (or disarms) the STA-check oracle for the process at build
-    /// time — the builder form of [`crate::timing_graph::set_sta_check`].
-    pub fn sta_check(mut self, on: bool) -> Self {
-        self.sta_check = Some(on);
-        self
-    }
-
-    /// Records a thread-count hint for callers that fan sessions out over
-    /// a pool (exported as the `synth.session.threads` gauge). The session
-    /// itself is single-threaded either way.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// The thread-count hint, if one was set.
-    pub fn threads_hint(&self) -> Option<usize> {
-        self.threads
-    }
-
     /// Maps the netlist once and returns the reusable template.
     ///
     /// # Errors
     ///
     /// Returns an error if the library lacks cells for the netlist's gates.
     pub fn template(self) -> Result<SessionTemplate, crate::design::SynthesisError> {
-        if let Some(on) = self.sta_check {
-            crate::timing_graph::set_sta_check(on);
-        }
-        if let Some(threads) = self.threads {
-            chatls_obs::gauge("synth.session.threads").set(threads as i64);
-        }
         let design = {
             let _span = self.obs.span("synth.session.map");
             MappedDesign::map(self.netlist, &self.library)?
@@ -978,8 +957,7 @@ impl SynthSession {
 
     fn run_command(&mut self, cmd: &Command) -> Result<(), ScriptError> {
         match cmd.name.as_str() {
-            "read_verilog" | "analyze" | "elaborate" | "current_design" | "link" | "echo"
-            | "set" | "lappend" | "exit" | "quit" => {
+            name if NO_OP_COMMANDS.contains(&name) => {
                 self.log.push(format!("(info) {} accepted", cmd.name));
                 Ok(())
             }
@@ -1535,7 +1513,7 @@ mod tests {
         }
         assert!(command_spec("compile").is_some());
         assert!(command_spec("no_such_command").is_none());
-        for alias in accepted_aliases() {
+        for alias in &accepted_aliases() {
             assert!(accepted_commands().contains(alias));
             assert!(!manual.contains(alias), "alias {alias} should stay undocumented");
         }

@@ -10,9 +10,9 @@
 //! hold slacks must match their oracles too.
 
 use chatls_liberty::nangate45;
-use chatls_synth::passes::{buffer_high_fanout, next_drive};
+use chatls_synth::passes::buffer_high_fanout;
 use chatls_synth::sta::{self, Constraints, TimingException, TimingReport};
-use chatls_synth::{MappedDesign, TimingGraph, TimingView};
+use chatls_synth::{MappedDesign, StaCheckGuard, TimingGraph, TimingView, NO_CELL};
 use chatls_verilog::netlist::{GateKind, Netlist};
 use proptest::prelude::*;
 
@@ -143,7 +143,7 @@ fn apply_edit(
     }
     let mut view = TimingView::new(design, graph, lib, constraints);
     let live: Vec<usize> = (0..view.design().netlist.gates.len())
-        .filter(|&gi| !view.design().is_dead(gi) && !view.design().cells[gi].is_empty())
+        .filter(|&gi| !view.design().is_dead(gi) && view.design().cells[gi] != NO_CELL)
         .collect();
     if live.is_empty() {
         return false;
@@ -153,7 +153,7 @@ fn apply_edit(
         // Upsize / downsize through the resize hook.
         0 | 1 => {
             let up = kind.is_multiple_of(8);
-            if let Some(next) = next_drive(lib, &view.design().cells[gi], up) {
+            if let Some(next) = lib.next_drive(view.design().cells[gi], up) {
                 view.resize_cell(gi, next);
             }
             false
@@ -238,7 +238,7 @@ proptest! {
         let nl = random_netlist(4, 2, 5, seed);
         let mut mapped = MappedDesign::map(nl, &lib).expect("maps");
         let mut constraints = Constraints { clock_period: 0.8, ..Constraints::default() };
-        chatls_synth::set_sta_check(true);
+        let _oracle = StaCheckGuard::arm();
         let mut graph = TimingGraph::new();
         TimingView::new(&mut mapped, &mut graph, &lib, &constraints).report();
         for &(pick, kind) in &edits {
@@ -248,6 +248,5 @@ proptest! {
             view.slack_map();
         }
         TimingView::new(&mut mapped, &mut graph, &lib, &constraints).hold_slacks();
-        chatls_synth::set_sta_check(false);
     }
 }

@@ -12,7 +12,7 @@ use chatls::pipeline::prepare_task;
 use chatls_exec::ExecPool;
 use chatls_obs::ObsCtx;
 use chatls_synth::sta::{self, QorReport};
-use chatls_synth::{CommandObserver, SessionTemplate};
+use chatls_synth::{CommandObserver, SessionTemplate, StaCheckGuard};
 use std::sync::{Arc, Mutex};
 
 const SCRIPT: &str = "create_clock -period 0.9 [get_ports clk]\n\
@@ -126,9 +126,9 @@ fn oracle_mode_keeps_scripted_outputs_identical() {
             let script = script.replace("{in}", input).replace("{out}", output);
             for observed in [false, true] {
                 let plain = run_outputs(&template, &script, observed);
-                chatls_synth::set_sta_check(true);
+                let oracle = StaCheckGuard::arm();
                 let checked = run_outputs(&template, &script, observed);
-                chatls_synth::set_sta_check(false);
+                drop(oracle);
                 assert_eq!(
                     plain, checked,
                     "{name}, observed {observed}: oracle mode must not change a single output \
@@ -190,7 +190,7 @@ fn oracle_mode_is_thread_count_invariant() {
     let task = prepare_task(&design, "optimize timing");
     let model = gpt_like();
 
-    chatls_synth::set_sta_check(true);
+    let _oracle = StaCheckGuard::arm();
     let serial_cache = QorCache::new();
     let serial = pass_at_k_on(
         &ExecPool::new(1),
@@ -214,5 +214,4 @@ fn oracle_mode_is_thread_count_invariant() {
         );
         assert_eq!(serial, row, "{threads}-thread oracle run must match serial");
     }
-    chatls_synth::set_sta_check(false);
 }
