@@ -31,10 +31,8 @@
 //! tail-latency guard (`--tail-guard R` fails the process if open-loop
 //! warm p99 exceeds `max(R x p50, 250ms)`).
 //!
-//! Merges the `serve/…` rows into `BENCH_synth.json` at the workspace
-//! root (replacing earlier `serve/…` rows, keeping everything else) —
-//! unless `--smoke` is given, which runs a fast CI-sized profile and
-//! writes nothing.
+//! The figures go to stdout only; perfbench owns the end-to-end rows.
+//! `--smoke` runs a fast CI-sized profile.
 //!
 //! With `--shards N` the binary instead runs the **cluster comparison**:
 //! the same closed-loop mix against a single-process server first, then
@@ -744,148 +742,5 @@ fn main() {
             "tail guard ok: open-loop p99/p50 = {:.1} (bound {tail_guard:.0})",
             open_p99 as f64 / (open_p50 as f64).max(1.0)
         );
-    }
-
-    if smoke {
-        eprintln!("--smoke: skipping BENCH_synth.json write");
-        return;
-    }
-
-    #[derive(serde::Serialize)]
-    struct Row {
-        name: String,
-        mean_ns: f64,
-        mean_human: String,
-        iters: u64,
-    }
-    let row = |name: &str, ns: f64, human: String, iters: u64| Row {
-        name: name.to_string(),
-        mean_ns: ns,
-        mean_human: human,
-        iters,
-    };
-    let mut rows = vec![
-        row("serve/customize_cold_ns", cold_ns as f64, human_time(cold_ns as f64), 1),
-        row(
-            "serve/customize_warm_p50_ns",
-            p50 as f64,
-            human_time(p50 as f64),
-            customize_ns.len() as u64,
-        ),
-        row(
-            "serve/customize_warm_p95_ns",
-            p95 as f64,
-            human_time(p95 as f64),
-            customize_ns.len() as u64,
-        ),
-        row(
-            "serve/customize_warm_p99_ns",
-            p99 as f64,
-            human_time(p99 as f64),
-            customize_ns.len() as u64,
-        ),
-        row(
-            "serve/eval_p50_ns",
-            eval_p50 as f64,
-            human_time(eval_p50 as f64),
-            eval_ns.len() as u64,
-        ),
-        row("serve/throughput_rps", rps, format!("{rps:.1} req/s"), total as u64),
-        row(
-            "serve/pool_hit_rate_pct",
-            hit_rate,
-            format!("{hit_rate:.1} %"),
-            (hits + misses) as u64,
-        ),
-        row(
-            "serve/open_loop_rate_rps",
-            open_rate,
-            format!("{open_rate:.1} req/s"),
-            open_ns.len() as u64,
-        ),
-        row(
-            "serve/open_loop_warm_p50_ns",
-            open_p50 as f64,
-            human_time(open_p50 as f64),
-            open_ns.len() as u64,
-        ),
-        row(
-            "serve/open_loop_warm_p95_ns",
-            open_p95 as f64,
-            human_time(open_p95 as f64),
-            open_ns.len() as u64,
-        ),
-        row(
-            "serve/open_loop_warm_p99_ns",
-            open_p99 as f64,
-            human_time(open_p99 as f64),
-            open_ns.len() as u64,
-        ),
-        row(
-            "serve/open_loop_throughput_rps",
-            open_rps,
-            format!("{open_rps:.1} req/s"),
-            open_ns.len() as u64,
-        ),
-        row(
-            "serve/miss_storm_p50_ns",
-            storm_p50 as f64,
-            human_time(storm_p50 as f64),
-            storm_ns.len() as u64,
-        ),
-        row(
-            "serve/miss_storm_builds",
-            1.0,
-            format!("1 build / {storm_clients} clients"),
-            storm_clients as u64,
-        ),
-    ];
-    if !session_turn_ns.is_empty() {
-        let ttfe_p50 = quantile(&session_ttfe_ns, 0.50);
-        let turn_p50 = quantile(&session_turn_ns, 0.50);
-        let turn_p99 = quantile(&session_turn_ns, 0.99);
-        rows.push(row(
-            "serve/session_ttfe_p50_ns",
-            ttfe_p50 as f64,
-            human_time(ttfe_p50 as f64),
-            session_ttfe_ns.len() as u64,
-        ));
-        rows.push(row(
-            "serve/session_turn_p50_ns",
-            turn_p50 as f64,
-            human_time(turn_p50 as f64),
-            session_turn_ns.len() as u64,
-        ));
-        rows.push(row(
-            "serve/session_turn_p99_ns",
-            turn_p99 as f64,
-            human_time(turn_p99 as f64),
-            session_turn_ns.len() as u64,
-        ));
-    }
-
-    // Merge into BENCH_synth.json: replace earlier serve/ rows, keep the
-    // synth-bench rows untouched.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_synth.json");
-    let mut merged: Vec<serde_json::Value> = match std::fs::read_to_string(path) {
-        Ok(text) => match serde_json::parse_value(&text) {
-            Ok(serde_json::Value::Seq(rows)) => rows
-                .into_iter()
-                .filter(|r| {
-                    r.get("name").and_then(|n| n.as_str()).is_none_or(|n| !n.starts_with("serve/"))
-                })
-                .collect(),
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-    merged.extend(rows.iter().map(serde::Serialize::serialize));
-    let doc = serde_json::Value::Seq(merged);
-    match serde_json::to_string_pretty(&doc) {
-        Ok(json) => match std::fs::write(path, json + "\n") {
-            Ok(()) => println!("[artifact] {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        },
-        Err(e) => eprintln!("could not serialize bench results: {e}"),
     }
 }

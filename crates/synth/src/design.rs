@@ -1,7 +1,7 @@
 //! A technology-mapped design: gate netlist + library cell assignment.
 
 use chatls_liberty::Library;
-use chatls_verilog::netlist::{GateKind, Netlist};
+use chatls_verilog::netlist::{Gate, GateKind, InputList, NetId, Netlist};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -110,7 +110,7 @@ impl MappedDesign {
     }
 
     /// Appends a gate with a cell assignment; returns its index.
-    pub fn push_gate(&mut self, gate: chatls_verilog::netlist::Gate, cell: u32) -> usize {
+    pub fn push_gate(&mut self, gate: Gate, cell: u32) -> usize {
         self.netlist.gates.push(gate);
         self.cells.push(cell);
         self.dead.push(false);
@@ -227,6 +227,109 @@ impl MappedDesign {
             }
         }
         loads
+    }
+}
+
+/// The state of a pre-existing gate before an in-place journaled edit.
+#[derive(Debug)]
+struct SavedGate {
+    gi: usize,
+    inputs: InputList,
+    output: NetId,
+    dead: bool,
+}
+
+/// A journaled edit of a [`MappedDesign`]: reads, plus exactly the edits
+/// trial bodies make, each recorded so that a rollback can undo the lot
+/// without the design ever having been copied. Trial bodies get one from
+/// [`crate::TimingView::trial`].
+///
+/// Appended nets and gates are undone by truncating `nets`, `gates`,
+/// `cells` and the dead flags to their lengths when the journal opened.
+/// An in-place edit of a gate that existed then (a rewired pin, new
+/// inputs and output, a kill) first saves that gate's prior wiring and
+/// dead flag; rollback replays the saves in reverse. The journal holds
+/// the design's only mutable borrow, so an edit cannot bypass it.
+/// Dropping the journal keeps the edits.
+#[derive(Debug)]
+pub struct EditJournal<'a> {
+    design: &'a mut MappedDesign,
+    gates_mark: usize,
+    nets_mark: usize,
+    saved: Vec<SavedGate>,
+}
+
+impl<'a> EditJournal<'a> {
+    /// Opens a journal over `design` in its current state.
+    pub(crate) fn new(design: &'a mut MappedDesign) -> Self {
+        let gates_mark = design.netlist.gates.len();
+        let nets_mark = design.netlist.nets.len();
+        Self { design, gates_mark, nets_mark, saved: Vec::new() }
+    }
+
+    /// The design with every edit so far applied.
+    pub fn design(&self) -> &MappedDesign {
+        self.design
+    }
+
+    /// Saves gate `gi`'s wiring and dead flag if it predates the journal;
+    /// gates the journal appended are truncated away instead.
+    fn save(&mut self, gi: usize) {
+        if gi < self.gates_mark {
+            let gate = &self.design.netlist.gates[gi];
+            self.saved.push(SavedGate {
+                gi,
+                inputs: gate.inputs,
+                output: gate.output,
+                dead: self.design.dead[gi],
+            });
+        }
+    }
+
+    /// Adds a net ([`Netlist::add_net`]); returns its id.
+    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
+        self.design.netlist.add_net(name)
+    }
+
+    /// Appends a gate ([`MappedDesign::push_gate`]); returns its index.
+    pub fn push_gate(&mut self, gate: Gate, cell: u32) -> usize {
+        self.design.push_gate(gate, cell)
+    }
+
+    /// Rewires input `pin` of gate `gi` to `net`.
+    pub fn rewire_input(&mut self, gi: usize, pin: usize, net: NetId) {
+        self.save(gi);
+        self.design.netlist.gates[gi].inputs[pin] = net;
+    }
+
+    /// Replaces gate `gi`'s inputs and output net.
+    pub fn rewire_gate(&mut self, gi: usize, inputs: InputList, output: NetId) {
+        self.save(gi);
+        let gate = &mut self.design.netlist.gates[gi];
+        gate.inputs = inputs;
+        gate.output = output;
+    }
+
+    /// Tombstones gate `gi` ([`MappedDesign::kill`]).
+    pub fn kill(&mut self, gi: usize) {
+        self.save(gi);
+        self.design.kill(gi);
+    }
+
+    /// Undoes every edit: the design equals its state when the journal
+    /// opened.
+    pub(crate) fn rollback(self) {
+        let design = self.design;
+        for s in self.saved.iter().rev() {
+            let gate = &mut design.netlist.gates[s.gi];
+            gate.inputs = s.inputs;
+            gate.output = s.output;
+            design.dead[s.gi] = s.dead;
+        }
+        design.netlist.gates.truncate(self.gates_mark);
+        design.cells.truncate(self.gates_mark);
+        design.dead.truncate(self.gates_mark);
+        design.netlist.nets.truncate(self.nets_mark);
     }
 }
 

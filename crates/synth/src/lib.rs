@@ -47,7 +47,7 @@ pub mod sta;
 pub mod timing_graph;
 pub mod tool;
 
-pub use design::{MappedDesign, SynthesisError, NO_CELL};
+pub use design::{EditJournal, MappedDesign, SynthesisError, NO_CELL};
 pub use sta::{Constraints, QorReport, TimingReport};
 pub use timing_graph::{
     reset_sta_telemetry, sta_check_enabled, sta_telemetry, StaCheckGuard, StaTelemetry,

@@ -5,11 +5,12 @@
 //! Every pass preserves functionality; the crate's tests prove it by
 //! simulating random stimulus before and after each pass.
 
-use crate::design::{MappedDesign, NO_CELL};
+use crate::design::{EditJournal, MappedDesign, NO_CELL};
 use crate::timing_graph::TimingView;
 use chatls_liberty::Library;
 use chatls_verilog::netlist::{Gate, GateKind, InputList, MAX_GATE_ARITY};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::hash_map::{Entry, HashMap};
 
 /// Statistics returned by a pass.
@@ -673,9 +674,20 @@ pub fn exceeds_fanout(design: &MappedDesign, max_fanout: usize) -> bool {
 }
 
 /// Buffer balancing: splits nets with more than `max_fanout` sinks into a
-/// buffer tree (strongest buffers available), recursively.
+/// buffer tree (strongest buffers available), recursively. The edits are
+/// committed; [`buffer_high_fanout_in`] is the same pass inside a trial.
 pub fn buffer_high_fanout(
     design: &mut MappedDesign,
+    library: &Library,
+    max_fanout: usize,
+) -> PassStats {
+    buffer_high_fanout_in(&mut EditJournal::new(design), library, max_fanout)
+}
+
+/// [`buffer_high_fanout`] through a journal, as the buffer trials of
+/// `compile -map_effort high` and `balance_buffers` run it.
+pub fn buffer_high_fanout_in(
+    edit: &mut EditJournal<'_>,
     library: &Library,
     max_fanout: usize,
 ) -> PassStats {
@@ -687,7 +699,7 @@ pub fn buffer_high_fanout(
     // moves a net's sinks onto the new buffer nets and leaves every other
     // net untouched), so each iteration costs a scan of the net table
     // instead of a full map rebuild.
-    let mut sinks = design.sink_map();
+    let mut sinks = edit.design().sink_map();
     loop {
         let mut worst: Option<(usize, usize)> = None; // (net, fanout)
         for (net, s) in sinks.iter().enumerate() {
@@ -700,20 +712,18 @@ pub fn buffer_high_fanout(
             None => break,
         };
         let net_sinks = std::mem::take(&mut sinks[net]);
-        let path = design
-            .netlist
+        let netlist = &edit.design().netlist;
+        let path = netlist
             .gates
             .get(net_sinks[0].0)
             .map(|g| g.path.clone())
-            .unwrap_or_else(|| design.netlist.name.clone());
+            .unwrap_or_else(|| netlist.name.clone());
         // Split sinks into groups; each group gets a buffer.
         for group in net_sinks.chunks(max_fanout) {
-            let new_net = design.netlist.add_net(format!(
-                "{}$buf{}",
-                design.netlist.nets[net].name,
-                design.netlist.nets.len()
-            ));
-            let gate = chatls_verilog::netlist::Gate {
+            let netlist = &edit.design().netlist;
+            let name = format!("{}$buf{}", netlist.nets[net].name, netlist.nets.len());
+            let new_net = edit.add_net(name);
+            let gate = Gate {
                 kind: GateKind::Buf,
                 inputs: InputList::from_slice(&[net as u32]),
                 output: new_net,
@@ -723,16 +733,22 @@ pub fn buffer_high_fanout(
                 enable: None,
                 dont_touch: true,
             };
-            let buf_gi = design.push_gate(gate, buf);
+            let buf_gi = edit.push_gate(gate, buf);
             stats.added += 1;
             for &(gi, pin) in group {
-                design.netlist.gates[gi].inputs[pin] = new_net;
+                edit.rewire_input(gi, pin, new_net);
             }
             sinks.push(group.to_vec());
             sinks[net].push((buf_gi, 0));
         }
     }
     stats
+}
+
+/// Keep rule of the buffer trials: a tree is committed unless CPS got
+/// worse (an incomparable CPS keeps it too).
+pub(crate) fn not_slower(before: f64, after: f64) -> bool {
+    after.partial_cmp(&before) != Some(Ordering::Less)
 }
 
 /// Register retiming (`optimize_registers`): moves the endpoint register of
@@ -751,11 +767,7 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
         if view.is_cancelled() {
             break;
         }
-        let (before_met, before_cps) = {
-            let r = view.report();
-            (r.met(), r.cps)
-        };
-        if before_met {
+        if view.report().met() {
             break;
         }
         let slacks = view.slack_map();
@@ -796,43 +808,45 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
             Some(c) => c,
             None => break,
         };
-        // Apply: register each input of the gate, gate drives old Q directly.
-        let snapshot = view.snapshot();
-        let comb = view.design().netlist.gates[gate_i].clone();
-        let moved = view.with_design_mut(|design| {
-            let q_net = design.netlist.gates[dff_i].output;
-            let path = design.netlist.gates[dff_i].path.clone();
-            let mut new_inputs = Vec::with_capacity(comb.inputs.len());
-            for (k, &inp) in comb.inputs.iter().enumerate() {
-                let nq = design.netlist.add_net(format!(
-                    "{}$ret{}_{k}",
-                    design.netlist.nets[q_net as usize].name,
-                    design.netlist.nets.len()
-                ));
-                let dff = chatls_verilog::netlist::Gate {
-                    kind: GateKind::Dff,
-                    inputs: InputList::from_slice(&[inp]),
-                    output: nq,
-                    path: path.clone(),
-                    reset_value: false,
-                    async_reset: None,
-                    enable: None,
-                    dont_touch: false,
-                };
-                design.push_gate(dff, dff_cell);
-                new_inputs.push(nq);
-            }
-            design.netlist.gates[gate_i].inputs = new_inputs.into();
-            design.netlist.gates[gate_i].output = q_net;
-            design.kill(dff_i);
-            PassStats { added: comb.inputs.len(), removed: 1, resized: 0 }
-        });
-        let after_cps = view.report().cps;
-        if after_cps <= before_cps {
-            view.restore(snapshot);
-            break;
+        // Apply: register each input of the gate, gate drives old Q
+        // directly. A move that does not raise CPS is undone and ends the
+        // pass (an incomparable CPS keeps it).
+        let moved = view.trial(
+            |edit| {
+                let design = edit.design();
+                let comb_inputs = design.netlist.gates[gate_i].inputs;
+                let q_net = design.netlist.gates[dff_i].output;
+                let path = design.netlist.gates[dff_i].path.clone();
+                let mut new_inputs = InputList::default();
+                for (k, &inp) in comb_inputs.iter().enumerate() {
+                    let nets = &edit.design().netlist.nets;
+                    let name = format!("{}$ret{}_{k}", nets[q_net as usize].name, nets.len());
+                    let nq = edit.add_net(name);
+                    let dff = Gate {
+                        kind: GateKind::Dff,
+                        inputs: InputList::from_slice(&[inp]),
+                        output: nq,
+                        path: path.clone(),
+                        reset_value: false,
+                        async_reset: None,
+                        enable: None,
+                        dont_touch: false,
+                    };
+                    edit.push_gate(dff, dff_cell);
+                    new_inputs.push(nq);
+                }
+                edit.rewire_gate(gate_i, new_inputs, q_net);
+                edit.kill(dff_i);
+                PassStats { added: comb_inputs.len(), removed: 1, resized: 0 }
+            },
+            |before, after| {
+                !matches!(after.partial_cmp(&before), Some(Ordering::Less | Ordering::Equal))
+            },
+        );
+        match moved {
+            Some(moved) => stats.merge(moved),
+            None => break,
         }
-        stats.merge(moved);
     }
     stats
 }
@@ -997,14 +1011,9 @@ pub fn compile(view: &mut TimingView, effort: Effort) -> PassStats {
             // buffer trees on met designs would add delay for nothing.
             // With no net over the limit the trial would change nothing.
             if exceeds_fanout(view.design(), 12) {
-                let snapshot = view.snapshot();
-                let before_cps = view.report().cps;
-                let buf_stats =
-                    view.with_design_mut(|design| buffer_high_fanout(design, library, 12));
-                let after_cps = view.report().cps;
-                if after_cps < before_cps {
-                    view.restore(snapshot);
-                } else {
+                if let Some(buf_stats) =
+                    view.trial(|edit| buffer_high_fanout_in(edit, library, 12), not_slower)
+                {
                     stats.merge(buf_stats);
                 }
             }

@@ -271,6 +271,96 @@ pub(crate) fn required_times(
     required
 }
 
+/// How a net sources its arrival time when it has no live driver gate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PiKind {
+    /// Not a primary input: unreached (`-inf`) without a driver.
+    NotPi,
+    /// Normal primary input: `input_delay + drive_resistance × load`.
+    Normal,
+    /// The clock port: arrives at 0.
+    Clock,
+    /// `set_false_path -from` launch point: excluded (`-inf`).
+    FalseFrom,
+}
+
+impl PiKind {
+    /// Setup-analysis arrival of a net of this kind carrying `load` fF.
+    pub(crate) fn setup_arrival(self, constraints: &Constraints, load: f64) -> f64 {
+        match self {
+            // Excluded launch points carry -inf so that downstream max()
+            // never sees them above other sources.
+            PiKind::NotPi | PiKind::FalseFrom => f64::NEG_INFINITY,
+            PiKind::Clock => 0.0,
+            PiKind::Normal => constraints.input_delay + constraints.input_drive_resistance * load,
+        }
+    }
+}
+
+/// True when port bit `name` is `port` itself or one of its bits `port[i]`.
+fn names_port(name: &str, port: &str) -> bool {
+    name.strip_prefix(port).is_some_and(|rest| rest.is_empty() || rest.starts_with('['))
+}
+
+/// Classifies every primary input, calling `each(net, kind)` in port order.
+///
+/// The clock port (`create_clock [get_ports …]`, else the netlist's clock)
+/// and its bits are [`PiKind::Clock`]. With `false_from`, a
+/// `set_false_path -from` launch point is [`PiKind::FalseFrom`], even when
+/// it is the clock; hold analysis passes `false`, since `-from` excludes
+/// setup paths only. Every other input is [`PiKind::Normal`].
+pub(crate) fn classify_inputs(
+    design: &MappedDesign,
+    constraints: &Constraints,
+    false_from: bool,
+    mut each: impl FnMut(u32, PiKind),
+) {
+    let clock = constraints.clock_port.as_deref().or(design.netlist.clock.as_deref());
+    for (name, id) in &design.netlist.inputs {
+        let excluded = false_from
+            && constraints
+                .exceptions
+                .iter()
+                .any(|e| matches!(e, TimingException::FalseFrom(p) if names_port(name, p)));
+        let kind = if excluded {
+            PiKind::FalseFrom
+        } else if clock.is_some_and(|c| names_port(name, c)) {
+            PiKind::Clock
+        } else {
+            PiKind::Normal
+        };
+        each(*id, kind);
+    }
+}
+
+/// Longest combinational depth of each gate in `order` (a topological
+/// order of live combinational gates, as from [`comb_topo`]), written into
+/// `level` (resized to the gate count, 0 for gates not in `order`).
+/// Sequential drivers start a path at level 0. Returns the deepest level.
+pub(crate) fn gate_levels(
+    design: &MappedDesign,
+    order: &[usize],
+    driver: &[Option<usize>],
+    level: &mut Vec<u32>,
+) -> u32 {
+    level.clear();
+    level.resize(design.netlist.gates.len(), 0);
+    let mut max_level = 0u32;
+    for &gi in order {
+        let mut lvl = 0u32;
+        for &inp in &design.netlist.gates[gi].inputs {
+            if let Some(d) = driver[inp as usize] {
+                if !design.is_dead(d) && !design.netlist.gates[d].kind.is_sequential() {
+                    lvl = lvl.max(level[d] + 1);
+                }
+            }
+        }
+        level[gi] = lvl;
+        max_level = max_level.max(lvl);
+    }
+    max_level
+}
+
 pub(crate) fn compute_arrivals(
     design: &MappedDesign,
     library: &Library,
@@ -281,34 +371,9 @@ pub(crate) fn compute_arrivals(
     let mut arrival = vec![f64::NEG_INFINITY; nets];
 
     // Sources: primary inputs and register outputs.
-    let clock_name = constraints.clock_port.clone().or_else(|| design.netlist.clock.clone());
-    // `clk` also matches bus bits `clk[i]`; prefix computed once, not per
-    // input bit.
-    let clock_prefix = clock_name.as_deref().map(|c| format!("{c}["));
-    let false_prefixes: Vec<(&str, String)> = constraints
-        .exceptions
-        .iter()
-        .filter_map(|e| match e {
-            TimingException::FalseFrom(p) => Some((p.as_str(), format!("{p}["))),
-            _ => None,
-        })
-        .collect();
-    for (name, id) in &design.netlist.inputs {
-        let is_clock = clock_name.as_deref().map(|c| name == c).unwrap_or(false)
-            || clock_prefix.as_deref().map(|p| name.starts_with(p)).unwrap_or(false);
-        let false_from =
-            false_prefixes.iter().any(|(p, pb)| name == p || name.starts_with(pb.as_str()));
-        arrival[*id as usize] = if is_clock || false_from {
-            0.0
-        } else {
-            constraints.input_delay + constraints.input_drive_resistance * loads[*id as usize]
-        };
-        if false_from {
-            // Exclude the launch point entirely: downstream max() never
-            // sees it above other sources.
-            arrival[*id as usize] = f64::NEG_INFINITY;
-        }
-    }
+    classify_inputs(design, constraints, true, |id, kind| {
+        arrival[id as usize] = kind.setup_arrival(constraints, loads[id as usize]);
+    });
     for (gi, gate) in design.netlist.gates.iter().enumerate() {
         if design.is_dead(gi) || !gate.kind.is_sequential() {
             continue;
@@ -414,20 +479,8 @@ pub(crate) fn propagate_arrivals_levelized(
     let (leveled, cycle_tail) = order.split_at(acyclic);
 
     // Longest-path level per gate over the acyclic prefix.
-    let mut level = vec![0u32; design.netlist.gates.len()];
-    let mut max_level = 0u32;
-    for &gi in leveled {
-        let mut lvl = 0u32;
-        for &inp in &design.netlist.gates[gi].inputs {
-            if let Some(d) = driver[inp as usize] {
-                if !design.is_dead(d) && !design.netlist.gates[d].kind.is_sequential() {
-                    lvl = lvl.max(level[d] + 1);
-                }
-            }
-        }
-        level[gi] = lvl;
-        max_level = max_level.max(lvl);
-    }
+    let mut level = Vec::new();
+    let max_level = gate_levels(design, leveled, driver, &mut level);
 
     // Bucket gates by level (CSR), preserving topological-order position
     // within each level so the apply phase replays the serial write order.
@@ -540,28 +593,38 @@ pub(crate) fn report_from_parts(
     driver: &[Option<usize>],
     cycles: usize,
 ) -> TimingReport {
-    // Endpoints.
+    // Endpoints, each with the net its arrival was read from (the
+    // critical-path trace starts there).
     let registers = design.netlist.gates.iter().filter(|g| g.kind.is_sequential()).count();
-    let mut endpoints = Vec::with_capacity(registers + design.netlist.outputs.len());
+    let mut endpoints: Vec<(EndpointSlack, u32)> =
+        Vec::with_capacity(registers + design.netlist.outputs.len());
+    let mut push = |endpoint: EndpointSlack, net: u32| {
+        if let Some(endpoint) = apply_exceptions(endpoint, constraints) {
+            endpoints.push((endpoint, net));
+        }
+    };
     for (gi, gate) in design.netlist.gates.iter().enumerate() {
         if design.is_dead(gi) || !gate.kind.is_sequential() {
             continue;
         }
         let setup = setup_time(library, design.cells[gi]);
-        let d_net = gate.inputs[0] as usize;
-        let arr = arrival[d_net];
+        let d_net = gate.inputs[0];
+        let arr = arrival[d_net as usize];
         if !arr.is_finite() {
             continue; // unconstrained: all launch points excluded/unreached
         }
         let arr = arr.max(0.0);
         let required = constraints.clock_period - setup;
-        endpoints.push(EndpointSlack {
-            endpoint: format!("{}/D", design.netlist.nets[gate.output as usize].name),
-            module_path: gate.path.clone(),
-            arrival: arr,
-            required,
-            slack: required - arr,
-        });
+        push(
+            EndpointSlack {
+                endpoint: format!("{}/D", design.netlist.nets[gate.output as usize].name),
+                module_path: gate.path.clone(),
+                arrival: arr,
+                required,
+                slack: required - arr,
+            },
+            d_net,
+        );
     }
     for (name, id) in &design.netlist.outputs {
         let arr = arrival[*id as usize];
@@ -573,24 +636,28 @@ pub(crate) fn report_from_parts(
         let module_path = driver[*id as usize]
             .map(|gi| design.netlist.gates[gi].path.clone())
             .unwrap_or_else(|| design.netlist.name.clone());
-        endpoints.push(EndpointSlack {
-            endpoint: name.clone(),
-            module_path,
-            arrival: arr,
-            required,
-            slack: required - arr,
-        });
+        push(
+            EndpointSlack {
+                endpoint: name.clone(),
+                module_path,
+                arrival: arr,
+                required,
+                slack: required - arr,
+            },
+            *id,
+        );
     }
-    apply_exceptions(&mut endpoints, constraints);
-    endpoints.sort_by(|a, b| a.slack.partial_cmp(&b.slack).unwrap_or(std::cmp::Ordering::Equal));
+    endpoints
+        .sort_by(|a, b| a.0.slack.partial_cmp(&b.0.slack).unwrap_or(std::cmp::Ordering::Equal));
+    let critical_path = endpoints
+        .first()
+        .map(|&(_, net)| trace_path(design, library, arrival, loads, net, driver))
+        .unwrap_or_default();
+    let endpoints: Vec<EndpointSlack> = endpoints.into_iter().map(|(e, _)| e).collect();
 
     let cps = endpoints.first().map(|e| e.slack).unwrap_or(constraints.clock_period);
     let wns = cps.min(0.0);
     let tns: f64 = endpoints.iter().map(|e| e.slack.min(0.0)).sum();
-    let critical_path = endpoints
-        .first()
-        .map(|worst| trace_path(design, library, arrival, loads, worst, driver))
-        .unwrap_or_default();
 
     TimingReport { wns, cps, tns, endpoints, critical_path, combinational_cycles: cycles }
 }
@@ -621,14 +688,10 @@ pub(crate) fn min_arrivals_in(
 ) -> Vec<f64> {
     let nets = design.netlist.nets.len();
     let mut arrival = vec![f64::INFINITY; nets];
-    let clock_name = constraints.clock_port.clone().or_else(|| design.netlist.clock.clone());
-    for (name, id) in &design.netlist.inputs {
-        let is_clock = clock_name
-            .as_deref()
-            .map(|c| name == c || name.starts_with(&format!("{c}[")))
-            .unwrap_or(false);
-        arrival[*id as usize] = if is_clock { 0.0 } else { constraints.input_delay };
-    }
+    // Hold ignores `-from`: a false-path clock port still launches at 0.
+    classify_inputs(design, constraints, false, |id, kind| {
+        arrival[id as usize] = if kind == PiKind::Clock { 0.0 } else { constraints.input_delay };
+    });
     for (gi, gate) in design.netlist.gates.iter().enumerate() {
         if design.is_dead(gi) || !gate.kind.is_sequential() {
             continue;
@@ -731,27 +794,23 @@ pub(crate) fn qor_from_timing(
     }
 }
 
-/// Applies `-to` exceptions: false paths drop out, multicycle endpoints
-/// get extra periods.
-pub(crate) fn apply_exceptions(endpoints: &mut Vec<EndpointSlack>, constraints: &Constraints) {
-    if constraints.exceptions.is_empty() {
-        return;
+/// Applies the `-to` exceptions to one endpoint: `None` when a false path
+/// drops it, otherwise the endpoint with any multicycle periods added.
+fn apply_exceptions(mut ep: EndpointSlack, constraints: &Constraints) -> Option<EndpointSlack> {
+    for e in &constraints.exceptions {
+        if matches!(e, TimingException::FalseTo(p) if ep.endpoint.starts_with(p.as_str())) {
+            return None;
+        }
     }
-    endpoints.retain(|ep| {
-        !constraints.exceptions.iter().any(
-            |e| matches!(e, TimingException::FalseTo(p) if ep.endpoint.starts_with(p.as_str())),
-        )
-    });
-    for ep in endpoints.iter_mut() {
-        for e in &constraints.exceptions {
-            if let TimingException::MulticycleTo(p, n) = e {
-                if ep.endpoint.starts_with(p.as_str()) && *n >= 1 {
-                    ep.required += constraints.clock_period * (*n as f64 - 1.0);
-                    ep.slack = ep.required - ep.arrival;
-                }
+    for e in &constraints.exceptions {
+        if let TimingException::MulticycleTo(p, n) = e {
+            if ep.endpoint.starts_with(p.as_str()) && *n >= 1 {
+                ep.required += constraints.clock_period * (*n as f64 - 1.0);
+                ep.slack = ep.required - ep.arrival;
             }
         }
     }
+    Some(ep)
 }
 
 /// Kahn topological order over live combinational gates; gates on cycles
@@ -843,28 +902,17 @@ pub(crate) fn comb_topo(design: &MappedDesign, driver: &[Option<usize>]) -> (Vec
     (order, cycles)
 }
 
-pub(crate) fn trace_path(
+/// The critical path into the endpoint whose arrival is `net`'s: walks
+/// back from `net` through the input that set each gate's max arrival.
+fn trace_path(
     design: &MappedDesign,
     library: &Library,
     arrival: &[f64],
     loads: &[f64],
-    worst: &EndpointSlack,
+    net: u32,
     driver: &[Option<usize>],
 ) -> Vec<PathStep> {
-    // Find the endpoint's data net.
-    let mut net: Option<u32> = None;
-    for (gi, gate) in design.netlist.gates.iter().enumerate() {
-        if design.is_dead(gi) || !gate.kind.is_sequential() {
-            continue;
-        }
-        if format!("{}/D", design.netlist.nets[gate.output as usize].name) == worst.endpoint {
-            net = Some(gate.inputs[0]);
-            break;
-        }
-    }
-    if net.is_none() {
-        net = design.netlist.outputs.iter().find(|(n, _)| *n == worst.endpoint).map(|(_, id)| *id);
-    }
+    let mut net = Some(net);
     let mut steps = Vec::new();
     let mut guard = 0;
     while let Some(cur) = net {
@@ -1071,6 +1119,39 @@ mod tests {
         let r = analyze(&d, &lib, &cons(0.3));
         let slacks = r.module_slacks();
         assert!(slacks.keys().any(|k| k == "top"), "keys: {:?}", slacks.keys());
+    }
+
+    #[test]
+    fn hold_ignores_false_from_on_the_clock_port() {
+        // `a` is named the clock port and a `-from` launch point at once.
+        let d = map(
+            "module m(input a, b, clk, output reg q);
+                always @(posedge clk) q <= a & b;
+            endmodule",
+            "m",
+        );
+        let lib = nangate45();
+        let c = Constraints {
+            clock_port: Some("a".into()),
+            input_delay: 0.3,
+            exceptions: vec![TimingException::FalseFrom("a".into())],
+            ..cons(1.0)
+        };
+        let net = |port: &str| d.netlist.inputs.iter().find(|(n, _)| n == port).unwrap().1;
+        let (a, b) = (net("a") as usize, net("b") as usize);
+        // Setup: `-from` excludes the port, clock or not.
+        let setup = slack_map(&d, &lib, &c).arrival;
+        assert_eq!(setup[a], f64::NEG_INFINITY);
+        assert_eq!(
+            setup[b].to_bits(),
+            (0.3 + c.input_drive_resistance * d.net_loads(&lib, c.wire_load.as_deref())[b])
+                .to_bits()
+        );
+        // Hold: the clock port still launches at 0, other inputs at their
+        // input delay.
+        let hold = min_arrivals(&d, &lib, &c);
+        assert_eq!(hold[a], 0.0);
+        assert_eq!(hold[b], 0.3);
     }
 
     /// Runs the serial and level-parallel walks on identical seeds and

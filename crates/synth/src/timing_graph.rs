@@ -7,9 +7,10 @@
 //! [`TimingView`] — a cell resize, a gate kill — seed a level-ordered dirty
 //! worklist; re-propagation walks only the affected fanout cone and stops
 //! early when an arrival converges to its previous bit pattern. Structural
-//! edits that grow the netlist (buffer insertion, retiming) invalidate the
-//! graph wholesale and the next query rebuilds it via the same code path
-//! the full analyzer uses.
+//! edits that grow the netlist (buffer insertion, retiming) run as
+//! [`TimingView::trial`]s: a fresh graph times the edited design through
+//! the same code path the full analyzer uses, and a rolled-back trial gets
+//! the pre-trial graph back.
 //!
 //! Invalidation reaches only as far as an edit did. A pass run through
 //! [`TimingView::with_design_mut`] that reports no change (all-zero
@@ -45,9 +46,11 @@
 //! every query recomputes from scratch and asserts bitwise equality of
 //! WNS/CPS/TNS and every endpoint slack.
 
-use crate::design::MappedDesign;
+use crate::design::{EditJournal, MappedDesign};
 use crate::passes::PassStats;
-use crate::sta::{self, Constraints, EndpointSlack, SlackMap, TimingException, TimingReport};
+use crate::sta::{
+    self, Constraints, EndpointSlack, PiKind, SlackMap, TimingException, TimingReport,
+};
 use chatls_liberty::{Library, WireLoadModel};
 use chatls_verilog::netlist::GateKind;
 use std::cmp::Reverse;
@@ -140,19 +143,6 @@ impl Drop for StaCheckGuard {
     fn drop(&mut self) {
         STA_CHECK_GUARDS.fetch_sub(1, Ordering::Relaxed);
     }
-}
-
-/// How a net sources its arrival time when it has no live driver gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PiKind {
-    /// Not a primary input: unreached (`-inf`) without a driver.
-    NotPi,
-    /// Normal primary input: `input_delay + drive_resistance × load`.
-    Normal,
-    /// The clock port: arrives at 0.
-    Clock,
-    /// `set_false_path -from` launch point: excluded (`-inf`).
-    FalseFrom,
 }
 
 /// How far a constraint change reaches into the cached timing state,
@@ -400,7 +390,7 @@ impl TimingGraph {
         self.cached_constraints = Some(constraints.clone());
         // Refill the per-net sink lists in place: the inner vectors are a
         // slab keyed to this graph's lifetime, so the rebuilds a session
-        // triggers (one per compile buffer trial, for instance) reuse
+        // triggers (after each structural cleanup, for instance) reuse
         // their allocations instead of paying one Vec per net.
         let nets_len = design.netlist.nets.len();
         for s in &mut self.sinks {
@@ -421,53 +411,17 @@ impl TimingGraph {
             self.is_po[*id as usize] = true;
         }
         self.wlm = constraints.wire_load.as_deref().and_then(|w| library.wire_load(w)).cloned();
-        // Levels: longest combinational depth, from the fresh topo order.
-        self.level.clear();
-        self.level.resize(design.netlist.gates.len(), 0);
-        for &gi in &self.order {
-            let gate = &design.netlist.gates[gi];
-            let mut lvl = 0u32;
-            for &inp in &gate.inputs {
-                if let Some(d) = self.driver[inp as usize] {
-                    if !design.is_dead(d) && !design.netlist.gates[d].kind.is_sequential() {
-                        lvl = lvl.max(self.level[d] + 1);
-                    }
-                }
-            }
-            self.level[gi] = lvl;
-        }
-        // Source arrivals, replicating compute_arrivals' initialization.
+        sta::gate_levels(design, &self.order, &self.driver, &mut self.level);
+        // Source arrivals, as compute_arrivals initialized them.
         let nets = design.netlist.nets.len();
         self.pi_kind.clear();
         self.pi_kind.resize(nets, PiKind::NotPi);
         self.source.clear();
         self.source.resize(nets, f64::NEG_INFINITY);
-        let clock_name = constraints.clock_port.clone().or_else(|| design.netlist.clock.clone());
-        let clock_prefix = clock_name.as_deref().map(|c| format!("{c}["));
-        let false_prefixes: Vec<(&str, String)> = constraints
-            .exceptions
-            .iter()
-            .filter_map(|e| match e {
-                TimingException::FalseFrom(p) => Some((p.as_str(), format!("{p}["))),
-                _ => None,
-            })
-            .collect();
-        for (name, id) in &design.netlist.inputs {
-            let is_clock = clock_name
-                .as_deref()
-                .zip(clock_prefix.as_deref())
-                .map(|(c, cp)| name == c || name.starts_with(cp))
-                .unwrap_or(false);
-            let false_from = false_prefixes.iter().any(|(p, pp)| name == p || name.starts_with(pp));
-            self.pi_kind[*id as usize] = if false_from {
-                PiKind::FalseFrom
-            } else if is_clock {
-                PiKind::Clock
-            } else {
-                PiKind::Normal
-            };
-            self.source[*id as usize] = self.pi_source_value(*id as usize);
-        }
+        sta::classify_inputs(design, constraints, true, |id, kind| {
+            self.pi_kind[id as usize] = kind;
+            self.source[id as usize] = kind.setup_arrival(constraints, self.loads[id as usize]);
+        });
         for (gi, gate) in design.netlist.gates.iter().enumerate() {
             if design.is_dead(gi) || !gate.kind.is_sequential() {
                 continue;
@@ -488,14 +442,8 @@ impl TimingGraph {
     /// Source arrival of `net` as a primary input under the cached
     /// constraints (`-inf` for non-inputs and `-from` launch points).
     fn pi_source_value(&self, net: usize) -> f64 {
-        match self.pi_kind[net] {
-            PiKind::NotPi | PiKind::FalseFrom => f64::NEG_INFINITY,
-            PiKind::Clock => 0.0,
-            PiKind::Normal => {
-                let c = self.cached_constraints.as_ref().expect("sources are set after a build");
-                c.input_delay + c.input_drive_resistance * self.loads[net]
-            }
-        }
+        let c = self.cached_constraints.as_ref().expect("sources are set after a build");
+        self.pi_kind[net].setup_arrival(c, self.loads[net])
     }
 
     fn push_dirty(&mut self, gi: usize) {
@@ -934,19 +882,36 @@ impl<'a> TimingView<'a> {
         moved
     }
 
-    /// Clones the (design, graph) pair for later [`TimingView::restore`].
-    pub fn snapshot(&self) -> (MappedDesign, TimingGraph) {
-        (self.design.clone(), self.graph.clone())
-    }
-
-    /// Restores a snapshot taken by [`TimingView::snapshot`]. The graph's
-    /// own counters ([`TimingGraph::stats`]) keep counting the work done
-    /// since the snapshot.
-    pub fn restore(&mut self, snap: (MappedDesign, TimingGraph)) {
-        let local = self.graph.local;
-        *self.design = snap.0;
-        *self.graph = snap.1;
-        self.graph.local = local;
+    /// Runs `edit` as a trial and keeps it only if `keep(cps_before,
+    /// cps_after)` holds; returns the edit's result when it was kept.
+    ///
+    /// This is the one rule behind every QoR-gated structural edit (the
+    /// `compile -map_effort high` and `balance_buffers` buffer trials and
+    /// each retime move): read CPS, run `edit` through an [`EditJournal`],
+    /// read CPS again, then keep or roll back. Nothing is cloned. The
+    /// pre-trial graph is moved aside while a fresh one times the edited
+    /// design (one full build, as any structural edit costs); a rollback
+    /// undoes the journal and puts the pre-trial graph back, still current
+    /// for the restored design, so every later query answers bitwise as if
+    /// the trial had never run. The counters ([`TimingGraph::stats`]) count
+    /// the trial's own build either way.
+    pub fn trial<T>(
+        &mut self,
+        edit: impl FnOnce(&mut EditJournal<'_>) -> T,
+        keep: impl FnOnce(f64, f64) -> bool,
+    ) -> Option<T> {
+        let before = self.report().cps;
+        let mut journal = EditJournal::new(self.design);
+        let out = edit(&mut journal);
+        let fresh = TimingGraph { local: self.graph.local, ..TimingGraph::new() };
+        let pre_trial = std::mem::replace(self.graph, fresh);
+        let after = self.graph.report_mut(journal.design(), self.library, self.constraints).cps;
+        if keep(before, after) {
+            return Some(out);
+        }
+        journal.rollback();
+        *self.graph = TimingGraph { local: self.graph.local, ..pre_trial };
+        None
     }
 }
 
@@ -1130,14 +1095,18 @@ mod tests {
         {
             let mut view = TimingView::new(&mut d, &mut g, &lib, &c);
             view.report();
-            let snapshot = view.snapshot();
-            let added = view.with_design_mut(|d| crate::passes::buffer_high_fanout(d, &lib, 2));
-            assert!(added.added > 0, "the trial must be structural");
-            view.report();
-            view.restore(snapshot);
-            view.report();
+            let mut added = 0;
+            let kept = view.trial(
+                |edit| added = crate::passes::buffer_high_fanout_in(edit, &lib, 2).added,
+                |_, _| false,
+            );
+            assert!(kept.is_none(), "the trial must roll back");
+            assert!(added > 0, "the trial must be structural");
+            assert_matches_oracles(&mut view, &lib, &c);
         }
-        assert_eq!(g.stats().full_builds, 2, "the rolled-back trial's build still counts");
+        let stats = g.stats();
+        assert_eq!(stats.full_builds, 2, "the rolled-back trial's build still counts");
+        assert_eq!(stats.incremental_updates, 0, "the restored graph is current");
     }
 
     #[test]

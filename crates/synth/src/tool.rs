@@ -10,7 +10,8 @@
 
 use crate::design::MappedDesign;
 use crate::passes::{
-    buffer_high_fanout, compile, exceeds_fanout, fix_hold, insert_clock_gating, retime, Effort,
+    buffer_high_fanout_in, compile, exceeds_fanout, fix_hold, insert_clock_gating, not_slower,
+    retime, Effort,
 };
 use crate::script::{parse_script, Command};
 use crate::sta::{Constraints, QorReport, TimingReport};
@@ -1170,16 +1171,10 @@ impl SynthSession {
                     (true, 0)
                 } else {
                     let mut view = self.view();
-                    let snapshot = view.snapshot();
-                    let before_cps = view.report().cps;
                     let lib = view.library();
-                    let stats = view.with_design_mut(|d| buffer_high_fanout(d, lib, limit));
-                    let after_cps = view.report().cps;
-                    if after_cps < before_cps {
-                        view.restore(snapshot);
-                        (false, 0)
-                    } else {
-                        (true, stats.added)
+                    match view.trial(|edit| buffer_high_fanout_in(edit, lib, limit), not_slower) {
+                        Some(stats) => (true, stats.added),
+                        None => (false, 0),
                     }
                 };
                 if kept {
