@@ -253,9 +253,13 @@ fn assert_clean_design_hits_cache() {
 /// CI guard: telemetry must be observation-only. The incremental-STA resize
 /// loop touches the obs registry on every query (`synth.sta.*` counters), so
 /// timing it with recording enabled vs. paused bounds the whole substrate's
-/// hot-path cost. Min-of-N on each side filters scheduler noise; the 5%
-/// relative bound carries a small absolute slack because 5% of a ~2ms
-/// roundtrip is close to timer jitter on a loaded CI box.
+/// hot-path cost. Paused and recording samples interleave, each round
+/// timing the same round trip once per side in alternating order, so that
+/// a slow spell on a shared box lands on both sides alike; min-of-N per
+/// side filters the rest of the scheduler noise. The 5% relative bound
+/// carries a small absolute slack because 5% of a ~2ms roundtrip is close
+/// to timer jitter on a loaded CI box. Up to three attempts, as in
+/// [`assert_under_budget`]: a genuine regression fails all three.
 fn assert_obs_overhead_negligible() {
     let design = chatls_designs::by_name("swerv").expect("catalog design");
     let template = session_template(&design);
@@ -276,27 +280,45 @@ fn assert_obs_overhead_negligible() {
         view.report();
     }
 
-    let mut time_min = |paused: bool| {
+    let mut sample = |paused: bool, i: usize| {
         chatls_obs::pause_recording(paused);
-        let mut best = u64::MAX;
-        for i in 0..12 {
-            let start = std::time::Instant::now();
-            black_box(resize_roundtrip(&mut mapped, &mut graph, &lib, &cons, &victims, i, false));
-            best = best.min(start.elapsed().as_nanos() as u64);
-        }
+        let start = std::time::Instant::now();
+        black_box(resize_roundtrip(&mut mapped, &mut graph, &lib, &cons, &victims, i, false));
+        let ns = start.elapsed().as_nanos() as u64;
         chatls_obs::pause_recording(false);
-        best
+        ns
     };
-    // Interleave a warmup pass per side so both measure the same cache state.
-    time_min(true);
-    let paused_ns = time_min(true);
-    time_min(false);
-    let recording_ns = time_min(false);
-    let bound_ns = paused_ns + paused_ns / 20 + 200_000;
-    assert!(
-        recording_ns <= bound_ns,
-        "obs recording overhead too high: {recording_ns} ns recording vs {paused_ns} ns paused \
-         (bound {bound_ns} ns)"
+    // `(paused, recording)` minimum over 12 interleaved rounds.
+    let mut interleaved_min = || {
+        let (mut paused_ns, mut recording_ns) = (u64::MAX, u64::MAX);
+        for i in 0..12 {
+            let order = if i % 2 == 0 { [true, false] } else { [false, true] };
+            for paused in order {
+                let ns = sample(paused, i);
+                let side = if paused { &mut paused_ns } else { &mut recording_ns };
+                *side = (*side).min(ns);
+            }
+        }
+        (paused_ns, recording_ns)
+    };
+    // A warm-up round so that both sides measure the same cache state.
+    interleaved_min();
+    let mut last = (0, 0, 0);
+    for attempt in 0..3 {
+        if attempt > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        let (paused_ns, recording_ns) = interleaved_min();
+        let bound_ns = paused_ns + paused_ns / 20 + 200_000;
+        if recording_ns <= bound_ns {
+            return;
+        }
+        last = (recording_ns, paused_ns, bound_ns);
+    }
+    let (recording_ns, paused_ns, bound_ns) = last;
+    panic!(
+        "obs recording overhead too high in 3 attempts: {recording_ns} ns recording vs \
+         {paused_ns} ns paused (bound {bound_ns} ns)"
     );
 }
 
@@ -505,17 +527,16 @@ fn main() {
     assert_scriptir_analysis_fast();
     assert_matmul_fast();
     assert_full_sta_fast();
-    // Best run about 4.2 ms with journaled trials; 15 ms fails only an
-    // algorithmic regression (per-gate heap allocation creeping back in,
-    // a pass going quadratic).
-    assert_run_script_fast("aes", SCRIPT, "synth/run_script_aes_from_template", 15_000_000);
+    // Best run about 4.0 ms (min of 150 runs on a shared 2-core box);
+    // 12 ms, 3x the best, fails only an algorithmic regression (per-gate
+    // heap allocation creeping back in, a pass going quadratic).
+    assert_run_script_fast("aes", SCRIPT, "synth/run_script_aes_from_template", 12_000_000);
     // The trial path: eight QoR-gated trial edits, one rolled back. Its
-    // best run measured about 19 ms on the 2-core reference box with
-    // journaled trials (25 ms when every trial cloned the design and its
-    // timing graph); 45 ms, 2.4x the best, fails an algorithmic
-    // regression, not the noise of a shared box.
+    // best run measured 18-20 ms (min of 40 runs on the same box); 35 ms
+    // fails an algorithmic regression, and the speed probe stretches it
+    // when the box itself runs slow.
     let row = "synth/run_script_fft_retime_from_template";
-    assert_run_script_fast("fft", RETIME_SCRIPT, row, 45_000_000);
+    assert_run_script_fast("fft", RETIME_SCRIPT, row, 35_000_000);
 
     let mut criterion = Criterion::default().sample_size(20);
     // Pure-compute kernels first: the synthesis benches leave the

@@ -63,8 +63,8 @@ const RULES: &[RuleExplanation] = &[
     RuleExplanation {
         code: "SL005",
         title: "non-numeric value",
-        rationale: "The tool parses the value as a number (or positive integer) and aborts \
-                    when it cannot.",
+        rationale: "The tool parses the value as a number (or a positive integer, or a \
+                    fanout limit of at least 2) and aborts when it cannot.",
         example: "create_clock -period fast [get_ports clk]\n",
         fix: "replace the value with a number",
     },

@@ -80,7 +80,9 @@
 //! ```
 
 use chatls_synth::script::{parse_script, Arg, Command};
-use chatls_synth::tool::{accepted_commands, command_spec, CommandSpec, ValueKind};
+use chatls_synth::tool::{
+    accepted_commands, command_spec, parse_fanout_limit, CommandSpec, ValueKind,
+};
 use chatls_verilog::netlist::Netlist;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -513,13 +515,13 @@ fn lint_value(
                 ));
             }
         }
-        ValueKind::PositiveInt => {
-            if !value.parse::<u64>().map(|n| n > 0).unwrap_or(false) {
+        ValueKind::PositiveInt | ValueKind::FanoutLimit => {
+            if let Some((rule, _)) = integer_rule(kind).filter(|(_, ok)| !ok(value)) {
                 out.push(diag(
                     "SL005",
                     Severity::Error,
                     line,
-                    format!("{command}: {what} value '{value}' is not a positive integer"),
+                    format!("{command}: {what} value '{value}' is not {rule}"),
                     None,
                 ));
             }
@@ -542,12 +544,31 @@ fn lint_value(
     }
 }
 
+/// What an integer value must be, and the check that it is.
+type IntegerRule = (&'static str, fn(&str) -> bool);
+
+/// The rule an integer value kind holds its values to. The fanout limit
+/// is the tool's own [`parse_fanout_limit`], so the two accept exactly
+/// the same values.
+fn integer_rule(kind: ValueKind) -> Option<IntegerRule> {
+    match kind {
+        ValueKind::PositiveInt => {
+            Some(("a positive integer", |v| v.parse::<u64>().is_ok_and(|n| n > 0)))
+        }
+        ValueKind::FanoutLimit => {
+            Some(("an integer of at least 2", |v| parse_fanout_limit(v).is_some()))
+        }
+        _ => None,
+    }
+}
+
 /// Short human description of a value kind, for suggestions.
 fn value_hint(kind: ValueKind) -> &'static str {
     match kind {
         ValueKind::Flag => "",
         ValueKind::Number => "<number>",
         ValueKind::PositiveInt => "<positive integer>",
+        ValueKind::FanoutLimit => "<integer >= 2>",
         ValueKind::Enum(_) => "<choice>",
         ValueKind::Word => "<value>",
     }
@@ -915,12 +936,11 @@ fn repair_args(cmd: &mut Command, spec: &CommandSpec, fixes: &mut Vec<String>) -
                 seen.pop();
                 continue;
             }
-            (Arg::Word(v), ValueKind::PositiveInt)
-                if !v.parse::<u64>().map(|n| n > 0).unwrap_or(false) =>
-            {
+            (Arg::Word(v), kind) if integer_rule(kind).is_some_and(|(_, ok)| !ok(v)) => {
                 if opt.required {
+                    let rule = integer_rule(kind).map_or("", |(rule, _)| rule);
                     fixes.push(format!(
-                        "dropped {} (line {}): '{word}' value '{v}' is not a positive integer",
+                        "dropped {} (line {}): '{word}' value '{v}' is not {rule}",
                         spec.name, cmd.line
                     ));
                     return false;
@@ -974,8 +994,7 @@ fn repair_args(cmd: &mut Command, spec: &CommandSpec, fixes: &mut Vec<String>) -
             None => !pos.required,
             Some(v) => match pos.value {
                 ValueKind::Number => v.parse::<f64>().is_ok(),
-                ValueKind::PositiveInt => v.parse::<u64>().map(|n| n > 0).unwrap_or(false),
-                _ => true,
+                kind => integer_rule(kind).is_none_or(|(_, ok)| ok(v)),
             },
         };
         if !ok {
@@ -1371,6 +1390,26 @@ report_qor
             chatls_synth::SessionBuilder::new(nl, chatls_liberty::nangate45()).session().unwrap();
         let r = session.run_script(&out.script);
         assert!(r.ok(), "{:?}\n{}", r.error, out.script);
+    }
+
+    #[test]
+    fn fanout_limit_of_one_is_an_error_and_repairs_to_a_runnable_script() {
+        // A limit of 1 has no buffer tree; the tool rejects it, so lint
+        // must too, before synthesis.
+        for script in [
+            "create_clock -period 3.5 [get_ports clk]\nbalance_buffers -max_fanout 1\n",
+            "create_clock -period 3.5 [get_ports clk]\nset_max_fanout 1\nbalance_buffers\n",
+        ] {
+            let r = lint_script(script);
+            let d = r.diagnostics.iter().find(|d| d.code == "SL005").expect("SL005");
+            assert_eq!(d.line, 2, "{r}");
+            assert!(d.message.ends_with("value '1' is not an integer of at least 2"), "{r}");
+            let out = repair_script(script);
+            assert!(out.remaining.is_clean(), "{}", out.remaining);
+            assert!(!out.script.contains(" 1\n"), "{}", out.script);
+        }
+        assert!(!codes(&lint_script("set_max_fanout 2\nbalance_buffers -max_fanout 2\n"))
+            .contains(&"SL005"));
     }
 
     #[test]

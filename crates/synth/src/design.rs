@@ -183,6 +183,20 @@ impl MappedDesign {
         map
     }
 
+    /// Live sink pins per net: the length of each [`Self::sink_map`] list,
+    /// without building the lists.
+    pub fn fanout_counts(&self) -> Vec<u32> {
+        let mut counts = vec![0u32; self.netlist.nets.len()];
+        for (i, g) in self.netlist.gates.iter().enumerate() {
+            if !self.dead[i] {
+                for &inp in &g.inputs {
+                    counts[inp as usize] += 1;
+                }
+            }
+        }
+        counts
+    }
+
     /// Per-net load in fF: sink pin capacitances plus wireload.
     ///
     /// `wire_load` may be `None` to model ideal wires.
@@ -227,6 +241,54 @@ impl MappedDesign {
             }
         }
         loads
+    }
+}
+
+/// Lists keyed by a dense index (a net, a gate), stored flat: one item
+/// array plus where each list starts, so a table of a hundred thousand
+/// lists is two allocations, not one per list. Refilling reuses both
+/// buffers, so a table kept across rebuilds allocates only when the design
+/// has grown.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FlatLists<T> {
+    /// List `k` is `items[starts[k]..starts[k + 1]]`.
+    starts: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> FlatLists<T> {
+    /// Refills the table with `lists` lists from the `(list, item)` pairs
+    /// `pairs()` yields. It is called twice, once to size the lists and
+    /// once to place the items, so it must yield the same pairs both
+    /// times; each list keeps its items in yield order.
+    pub(crate) fn refill<I>(&mut self, lists: usize, pairs: impl Fn() -> I)
+    where
+        I: Iterator<Item = (usize, T)>,
+    {
+        // `starts[k + 2]` counts list `k`. After the running sum,
+        // `starts[k + 1]` is where list `k` begins; placing an item
+        // advances it, so that it ends where list `k + 1` begins.
+        self.starts.clear();
+        self.starts.resize(lists + 2, 0);
+        for (k, _) in pairs() {
+            self.starts[k + 2] += 1;
+        }
+        for k in 2..lists + 2 {
+            self.starts[k] += self.starts[k - 1];
+        }
+        self.items.clear();
+        self.items.resize(self.starts[lists + 1] as usize, T::default());
+        for (k, item) in pairs() {
+            let at = &mut self.starts[k + 1];
+            self.items[*at as usize] = item;
+            *at += 1;
+        }
+        self.starts.pop();
+    }
+
+    /// List `k`.
+    pub(crate) fn get(&self, k: usize) -> &[T] {
+        &self.items[self.starts[k] as usize..self.starts[k + 1] as usize]
     }
 }
 
@@ -418,6 +480,36 @@ mod tests {
             .map(|(n, _)| loads[n])
             .unwrap_or(0.0);
         assert!(max_load > low, "fanout load {max_load} should exceed single-sink load {low}");
+    }
+
+    #[test]
+    fn flat_lists_keep_yield_order_and_refill_in_place() {
+        let mut table = FlatLists::default();
+        let pairs = [(2, 'a'), (0, 'b'), (2, 'c'), (3, 'd'), (0, 'e')];
+        table.refill(4, || pairs.iter().copied());
+        let lists: Vec<Vec<char>> = (0..4).map(|k| table.get(k).to_vec()).collect();
+        assert_eq!(lists, [vec!['b', 'e'], vec![], vec!['a', 'c'], vec!['d']]);
+        table.refill(2, || [(1, 'x')].into_iter());
+        assert_eq!((table.get(0), table.get(1)), (&[][..], &['x'][..]));
+    }
+
+    #[test]
+    fn fanout_counts_match_sink_map_on_every_catalog_design() {
+        let lib = nangate45();
+        let catalog =
+            chatls_designs::benchmarks().into_iter().chain(chatls_designs::database_designs());
+        for design in catalog {
+            let mut d = MappedDesign::map(design.netlist(), &lib).unwrap();
+            // Once as mapped, once with the buffers and dead logic a sweep
+            // tombstones.
+            for swept in [false, true] {
+                if swept {
+                    crate::passes::sweep(&mut d);
+                }
+                let lens: Vec<u32> = d.sink_map().iter().map(|s| s.len() as u32).collect();
+                assert_eq!(d.fanout_counts(), lens, "{} (swept: {swept})", design.name);
+            }
+        }
     }
 
     #[test]

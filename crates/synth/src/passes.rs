@@ -5,7 +5,7 @@
 //! Every pass preserves functionality; the crate's tests prove it by
 //! simulating random stimulus before and after each pass.
 
-use crate::design::{EditJournal, MappedDesign, NO_CELL};
+use crate::design::{EditJournal, FlatLists, MappedDesign, NO_CELL};
 use crate::timing_graph::TimingView;
 use chatls_liberty::Library;
 use chatls_verilog::netlist::{Gate, GateKind, InputList, MAX_GATE_ARITY};
@@ -98,12 +98,15 @@ pub fn sweep(design: &mut MappedDesign) -> PassStats {
     // orphan its input nets' drivers, so cascade through a worklist — the
     // same closure the round-based formulation reached by re-scanning.
     let mut uses = vec![0u32; nets];
-    let mut driver_of: Vec<Vec<u32>> = vec![Vec::new(); nets];
+    let mut driver_of = FlatLists::default();
+    driver_of.refill(nets, || {
+        let live = design.netlist.gates.iter().enumerate().filter(|&(gi, _)| !design.is_dead(gi));
+        live.map(|(gi, g)| (g.output as usize, gi as u32))
+    });
     for (gi, g) in design.netlist.gates.iter().enumerate() {
         if design.is_dead(gi) {
             continue;
         }
-        driver_of[g.output as usize].push(gi as u32);
         for &inp in &g.inputs {
             uses[inp as usize] += 1;
         }
@@ -138,7 +141,7 @@ pub fn sweep(design: &mut MappedDesign) -> PassStats {
         for &net in &released {
             uses[net as usize] -= 1;
             if uses[net as usize] == 0 && !is_po[net as usize] {
-                for &d in &driver_of[net as usize] {
+                for &d in driver_of.get(net as usize) {
                     if !design.is_dead(d as usize) {
                         worklist.push(d);
                     }
@@ -465,13 +468,13 @@ pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassSta
     };
     loop {
         let mut changed = false;
-        // The adjacency maps stay valid across the simple merges below
-        // (they only retire the inner gate and its single-sink net), but a
-        // NOT-NOT collapse rewires sinks; that case restarts the sweep so
-        // the maps are rebuilt.
+        // The driver map and fanout counts stay valid across the simple
+        // merges below (they only retire the inner gate and its single-sink
+        // net), but a NOT-NOT collapse rewires sinks; that case restarts
+        // the sweep so they are rebuilt.
         let mut restart = false;
         let driver = design.driver_map();
-        let sinks = design.sink_map();
+        let fanout = design.fanout_counts();
         let primary_outputs: Vec<u32> = design.netlist.outputs.iter().map(|(_, id)| *id).collect();
         for gi in 0..design.netlist.gates.len() {
             if restart {
@@ -494,7 +497,7 @@ pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassSta
             }
             let inner = &design.netlist.gates[inner_gi];
             if inner.dont_touch
-                || sinks[src_net as usize].len() != 1
+                || fanout[src_net as usize] != 1
                 || primary_outputs.contains(&src_net)
             {
                 continue;
@@ -568,7 +571,7 @@ pub fn size_cells(view: &mut TimingView, rounds: usize) -> PassStats {
         if view.is_cancelled() {
             break;
         }
-        let before_cps = view.report().cps;
+        let before_cps = view.cps();
         // Keep pushing until there is a little positive margin (the
         // critical range), not just bare closure.
         if before_cps >= critical_range.max(0.0) {
@@ -596,7 +599,7 @@ pub fn size_cells(view: &mut TimingView, rounds: usize) -> PassStats {
         if round_edits.is_empty() {
             break;
         }
-        let after_cps = view.report().cps;
+        let after_cps = view.cps();
         if after_cps < before_cps {
             // Roll back through the hooks so the graph stays incremental.
             for (gi, old) in round_edits.into_iter().rev() {
@@ -616,7 +619,7 @@ pub fn area_recovery(view: &mut TimingView) -> PassStats {
     let mut stats = PassStats::default();
     let critical_range = view.constraints().critical_range;
     let clock_period = view.constraints().clock_period;
-    let before_cps = view.report().cps;
+    let before_cps = view.cps();
     let slacks = view.slack_map();
     // Downsizing reduces the input capacitance the upstream drivers see, so
     // recovery often *helps* timing; still, the pass never commits a CPS
@@ -639,7 +642,7 @@ pub fn area_recovery(view: &mut TimingView) -> PassStats {
                 }
             }
         }
-        let after_cps = view.report().cps;
+        let after_cps = view.cps();
         // Accept when timing did not regress, or when the design still has
         // a very comfortable margin (≥ a quarter period) — the slack-rich
         // regime where trading slack for area is what set_max_area asks.
@@ -654,6 +657,11 @@ pub fn area_recovery(view: &mut TimingView) -> PassStats {
     }
     stats
 }
+
+/// The smallest fanout limit buffer insertion works with. A limit of 1 has
+/// no buffer tree: splitting a net into one-sink buffers leaves it with as
+/// many sinks as before.
+pub const MIN_FANOUT_LIMIT: usize = 2;
 
 /// True when some net has more live sink pins than `max_fanout`, the nets
 /// [`buffer_high_fanout`] splits; false means that pass has nothing to do.
@@ -686,6 +694,8 @@ pub fn buffer_high_fanout(
 
 /// [`buffer_high_fanout`] through a journal, as the buffer trials of
 /// `compile -map_effort high` and `balance_buffers` run it.
+///
+/// With a limit below [`MIN_FANOUT_LIMIT`] the pass does nothing.
 pub fn buffer_high_fanout_in(
     edit: &mut EditJournal<'_>,
     library: &Library,
@@ -695,6 +705,9 @@ pub fn buffer_high_fanout_in(
     let Some(buf) = library.variant_id("BUF", true) else {
         return stats;
     };
+    if max_fanout < MIN_FANOUT_LIMIT {
+        return stats;
+    }
     // The sink map is built once and maintained across splits (a split
     // moves a net's sinks onto the new buffer nets and leaves every other
     // net untouched), so each iteration costs a scan of the net table
@@ -767,13 +780,13 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
         if view.is_cancelled() {
             break;
         }
-        if view.report().met() {
+        if view.cps() >= 0.0 {
             break;
         }
         let slacks = view.slack_map();
         let design = view.design();
         let driver = design.driver_map();
-        let sinks = design.sink_map();
+        let fanout = design.fanout_counts();
         // Candidate: live DFF with the worst D-pin slack whose driver is a
         // legal comb gate.
         let mut candidate: Option<(usize, usize)> = None; // (dff, gate)
@@ -796,7 +809,7 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
                 drv_gate.kind,
                 GateKind::And | GateKind::Or | GateKind::Xor | GateKind::Buf | GateKind::Mux
             );
-            let exclusive = sinks[d_net as usize].len() == 1
+            let exclusive = fanout[d_net as usize] == 1
                 && !design.netlist.outputs.iter().any(|(_, id)| *id == d_net);
             let same_module = ungrouped || drv_gate.path == gate.path;
             if legal_kind && exclusive && same_module {
@@ -859,12 +872,12 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
 pub fn insert_clock_gating(design: &mut MappedDesign) -> PassStats {
     let mut stats = PassStats::default();
     let driver = design.driver_map();
-    let sinks = design.sink_map();
+    let fanout = design.fanout_counts();
     for gi in 0..design.netlist.gates.len() {
         if design.is_dead(gi) {
             continue;
         }
-        let gate = design.netlist.gates[gi].clone();
+        let gate = &design.netlist.gates[gi];
         if !gate.kind.is_sequential() || gate.enable.is_some() {
             continue;
         }
@@ -873,7 +886,7 @@ pub fn insert_clock_gating(design: &mut MappedDesign) -> PassStats {
             Some(m) => m,
             None => continue,
         };
-        let mux = design.netlist.gates[mux_i].clone();
+        let mux = &design.netlist.gates[mux_i];
         if mux.kind != GateKind::Mux {
             continue;
         }
@@ -882,13 +895,13 @@ pub fn insert_clock_gating(design: &mut MappedDesign) -> PassStats {
             continue;
         }
         // Mux must feed only this register.
-        if sinks[d_net as usize].len() != 1
-            || design.netlist.outputs.iter().any(|(_, id)| *id == d_net)
+        if fanout[d_net as usize] != 1 || design.netlist.outputs.iter().any(|(_, id)| *id == d_net)
         {
             continue;
         }
-        design.netlist.gates[gi].inputs[0] = mux.inputs[2];
-        design.netlist.gates[gi].enable = Some(mux.inputs[0]);
+        let (enable, data) = (mux.inputs[0], mux.inputs[2]);
+        design.netlist.gates[gi].inputs[0] = data;
+        design.netlist.gates[gi].enable = Some(enable);
         design.kill(mux_i);
         stats.removed += 1;
     }

@@ -10,7 +10,7 @@
 //! **WNS** (worst negative slack, 0 when met), **CPS** (critical path
 //! slack, signed), **TNS** (total negative slack), and cell **area**.
 
-use crate::design::MappedDesign;
+use crate::design::{FlatLists, MappedDesign};
 use chatls_liberty::Library;
 use chatls_verilog::netlist::GateKind;
 use serde::{Deserialize, Serialize};
@@ -125,7 +125,38 @@ pub struct TimingReport {
     pub combinational_cycles: usize,
 }
 
+/// The three figures a timing-driven pass or a QoR reads: what
+/// [`TimingReport`] carries without the endpoint names, module paths and
+/// critical-path trace that only a report prints.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlackSummary {
+    /// Worst negative slack: `min(0, cps)` (ns).
+    pub wns: f64,
+    /// Critical path slack: the signed minimum endpoint slack, or the
+    /// clock period when no endpoint is constrained (ns).
+    pub cps: f64,
+    /// Total negative slack (ns).
+    pub tns: f64,
+}
+
+impl SlackSummary {
+    /// The summary of endpoint `slacks` sorted worst first (a report's
+    /// order), so that TNS adds the same terms in the same order and every
+    /// bit matches the report's.
+    fn from_sorted(mut slacks: impl Iterator<Item = f64>, clock_period: f64) -> Self {
+        let first = slacks.next();
+        let cps = first.unwrap_or(clock_period);
+        let tns = first.into_iter().chain(slacks).map(|s| s.min(0.0)).sum();
+        Self { wns: cps.min(0.0), cps, tns }
+    }
+}
+
 impl TimingReport {
+    /// WNS, CPS and TNS of this report.
+    pub fn summary(&self) -> SlackSummary {
+        SlackSummary { wns: self.wns, cps: self.cps, tns: self.tns }
+    }
+
     /// Worst slack per hierarchical module path (endpoint attribution).
     pub fn module_slacks(&self) -> HashMap<String, f64> {
         let mut map: HashMap<String, f64> = HashMap::new();
@@ -581,6 +612,104 @@ pub fn analyze(
     report_from_parts(design, library, constraints, &arrival, &loads, &driver, cycles)
 }
 
+/// Which endpoint a slack belongs to.
+#[derive(Debug, Clone, Copy)]
+enum Endpoint {
+    /// The data pin of register gate `gi`, named `<Q net>/D`.
+    Register(usize),
+    /// Primary output `i` (an index into `netlist.outputs`), named by its
+    /// port.
+    Output(usize),
+}
+
+/// One constrained endpoint, identified by index only: the report names
+/// the endpoints it prints, the summary never does.
+#[derive(Debug, Clone, Copy)]
+struct EndpointTiming {
+    at: Endpoint,
+    /// The net the arrival was read from; the critical-path trace starts
+    /// there.
+    net: u32,
+    arrival: f64,
+    required: f64,
+    slack: f64,
+}
+
+/// The one endpoint walk behind the report and the summary: every register
+/// data pin, then every primary output, in design order, skipping
+/// unreached endpoints and those a `-to` false path drops, with any
+/// multicycle periods added to the required time.
+fn for_each_endpoint(
+    design: &MappedDesign,
+    library: &Library,
+    constraints: &Constraints,
+    arrival: &[f64],
+    mut each: impl FnMut(EndpointTiming),
+) {
+    let mut visit = |at: Endpoint, net: u32, name: &str, suffix: &str, required: f64| {
+        let arr = arrival[net as usize];
+        if !arr.is_finite() {
+            return; // unconstrained: all launch points excluded/unreached
+        }
+        let arr = arr.max(0.0);
+        if let Some(required) = required_after_exceptions(constraints, name, suffix, required) {
+            each(EndpointTiming { at, net, arrival: arr, required, slack: required - arr });
+        }
+    };
+    for (gi, gate) in design.netlist.gates.iter().enumerate() {
+        if design.is_dead(gi) || !gate.kind.is_sequential() {
+            continue;
+        }
+        let required = constraints.clock_period - setup_time(library, design.cells[gi]);
+        let q = &design.netlist.nets[gate.output as usize].name;
+        visit(Endpoint::Register(gi), gate.inputs[0], q, "/D", required);
+    }
+    for (i, (name, id)) in design.netlist.outputs.iter().enumerate() {
+        let required = constraints.clock_period - constraints.output_delay;
+        visit(Endpoint::Output(i), *id, name, "", required);
+    }
+}
+
+/// The `-to` exceptions on the endpoint named `name` then `suffix`: `None`
+/// when a false path drops it, else `required` plus any multicycle
+/// periods.
+fn required_after_exceptions(
+    constraints: &Constraints,
+    name: &str,
+    suffix: &str,
+    mut required: f64,
+) -> Option<f64> {
+    let names = |prefix: &str| names_endpoint(prefix, name, suffix);
+    for e in &constraints.exceptions {
+        if matches!(e, TimingException::FalseTo(p) if names(p)) {
+            return None;
+        }
+    }
+    for e in &constraints.exceptions {
+        if let TimingException::MulticycleTo(p, n) = e {
+            if *n >= 1 && names(p) {
+                required += constraints.clock_period * (*n as f64 - 1.0);
+            }
+        }
+    }
+    Some(required)
+}
+
+/// True when `prefix` begins the endpoint name `name` followed by
+/// `suffix`, without building that name.
+fn names_endpoint(prefix: &str, name: &str, suffix: &str) -> bool {
+    match prefix.strip_prefix(name) {
+        Some(rest) => suffix.starts_with(rest),
+        None => name.starts_with(prefix),
+    }
+}
+
+/// Worst slack first. Sorts are stable, so endpoints with equal slacks
+/// keep their walk order.
+fn by_slack(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
+}
+
 /// Builds the full [`TimingReport`] from already-computed arrivals and
 /// loads — the shared back half of [`analyze`], also used by the
 /// incremental [`crate::timing_graph::TimingGraph`].
@@ -593,73 +722,58 @@ pub(crate) fn report_from_parts(
     driver: &[Option<usize>],
     cycles: usize,
 ) -> TimingReport {
-    // Endpoints, each with the net its arrival was read from (the
-    // critical-path trace starts there).
     let registers = design.netlist.gates.iter().filter(|g| g.kind.is_sequential()).count();
-    let mut endpoints: Vec<(EndpointSlack, u32)> =
-        Vec::with_capacity(registers + design.netlist.outputs.len());
-    let mut push = |endpoint: EndpointSlack, net: u32| {
-        if let Some(endpoint) = apply_exceptions(endpoint, constraints) {
-            endpoints.push((endpoint, net));
-        }
-    };
-    for (gi, gate) in design.netlist.gates.iter().enumerate() {
-        if design.is_dead(gi) || !gate.kind.is_sequential() {
-            continue;
-        }
-        let setup = setup_time(library, design.cells[gi]);
-        let d_net = gate.inputs[0];
-        let arr = arrival[d_net as usize];
-        if !arr.is_finite() {
-            continue; // unconstrained: all launch points excluded/unreached
-        }
-        let arr = arr.max(0.0);
-        let required = constraints.clock_period - setup;
-        push(
-            EndpointSlack {
-                endpoint: format!("{}/D", design.netlist.nets[gate.output as usize].name),
-                module_path: gate.path.clone(),
-                arrival: arr,
-                required,
-                slack: required - arr,
-            },
-            d_net,
-        );
-    }
-    for (name, id) in &design.netlist.outputs {
-        let arr = arrival[*id as usize];
-        if !arr.is_finite() {
-            continue; // unconstrained output
-        }
-        let arr = arr.max(0.0);
-        let required = constraints.clock_period - constraints.output_delay;
-        let module_path = driver[*id as usize]
-            .map(|gi| design.netlist.gates[gi].path.clone())
-            .unwrap_or_else(|| design.netlist.name.clone());
-        push(
-            EndpointSlack {
-                endpoint: name.clone(),
-                module_path,
-                arrival: arr,
-                required,
-                slack: required - arr,
-            },
-            *id,
-        );
-    }
-    endpoints
-        .sort_by(|a, b| a.0.slack.partial_cmp(&b.0.slack).unwrap_or(std::cmp::Ordering::Equal));
+    let mut endpoints = Vec::with_capacity(registers + design.netlist.outputs.len());
+    for_each_endpoint(design, library, constraints, arrival, |ep| endpoints.push(ep));
+    endpoints.sort_by(|a, b| by_slack(a.slack, b.slack));
     let critical_path = endpoints
         .first()
-        .map(|&(_, net)| trace_path(design, library, arrival, loads, net, driver))
+        .map(|ep| trace_path(design, library, arrival, loads, ep.net, driver))
         .unwrap_or_default();
-    let endpoints: Vec<EndpointSlack> = endpoints.into_iter().map(|(e, _)| e).collect();
-
-    let cps = endpoints.first().map(|e| e.slack).unwrap_or(constraints.clock_period);
-    let wns = cps.min(0.0);
-    let tns: f64 = endpoints.iter().map(|e| e.slack.min(0.0)).sum();
-
+    let SlackSummary { wns, cps, tns } =
+        SlackSummary::from_sorted(endpoints.iter().map(|ep| ep.slack), constraints.clock_period);
+    let netlist = &design.netlist;
+    let endpoints = endpoints
+        .iter()
+        .map(|ep| {
+            let (endpoint, module_path) = match ep.at {
+                Endpoint::Register(gi) => {
+                    let gate = &netlist.gates[gi];
+                    (format!("{}/D", netlist.nets[gate.output as usize].name), gate.path.clone())
+                }
+                Endpoint::Output(i) => (
+                    netlist.outputs[i].0.clone(),
+                    driver[ep.net as usize]
+                        .map_or_else(|| netlist.name.clone(), |gi| netlist.gates[gi].path.clone()),
+                ),
+            };
+            EndpointSlack {
+                endpoint,
+                module_path,
+                arrival: ep.arrival,
+                required: ep.required,
+                slack: ep.slack,
+            }
+        })
+        .collect();
     TimingReport { wns, cps, tns, endpoints, critical_path, combinational_cycles: cycles }
+}
+
+/// The [`SlackSummary`] of already-computed arrivals: bitwise the figures
+/// [`report_from_parts`] reports, from the same endpoint walk, without
+/// naming an endpoint or tracing a path. `slacks` is scratch space, so
+/// that a caller that keeps it allocates nothing here.
+pub(crate) fn summary_from_parts(
+    design: &MappedDesign,
+    library: &Library,
+    constraints: &Constraints,
+    arrival: &[f64],
+    slacks: &mut Vec<f64>,
+) -> SlackSummary {
+    slacks.clear();
+    for_each_endpoint(design, library, constraints, arrival, |ep| slacks.push(ep.slack));
+    slacks.sort_by(|&a, &b| by_slack(a, b));
+    SlackSummary::from_sorted(slacks.iter().copied(), constraints.clock_period)
 }
 
 /// Minimum (fastest-path) arrival times, for hold analysis.
@@ -765,16 +879,17 @@ pub(crate) fn hold_from_min(
 
 /// Full QoR (timing + area) in one call.
 pub fn qor(design: &MappedDesign, library: &Library, constraints: &Constraints) -> QorReport {
-    let timing = analyze(design, library, constraints);
-    qor_from_timing(design, library, &timing)
+    let a = compute_arrivals(design, library, constraints);
+    let summary = summary_from_parts(design, library, constraints, &a.arrival, &mut Vec::new());
+    qor_from_summary(design, library, &summary)
 }
 
-/// QoR summary from an already-computed timing report, sharing one graph
-/// build between the timing and area halves.
-pub(crate) fn qor_from_timing(
+/// QoR from an already-computed slack summary plus the design's area
+/// figures.
+pub(crate) fn qor_from_summary(
     design: &MappedDesign,
     library: &Library,
-    timing: &TimingReport,
+    timing: &SlackSummary,
 ) -> QorReport {
     QorReport {
         design: design.netlist.name.clone(),
@@ -794,38 +909,18 @@ pub(crate) fn qor_from_timing(
     }
 }
 
-/// Applies the `-to` exceptions to one endpoint: `None` when a false path
-/// drops it, otherwise the endpoint with any multicycle periods added.
-fn apply_exceptions(mut ep: EndpointSlack, constraints: &Constraints) -> Option<EndpointSlack> {
-    for e in &constraints.exceptions {
-        if matches!(e, TimingException::FalseTo(p) if ep.endpoint.starts_with(p.as_str())) {
-            return None;
-        }
-    }
-    for e in &constraints.exceptions {
-        if let TimingException::MulticycleTo(p, n) = e {
-            if ep.endpoint.starts_with(p.as_str()) && *n >= 1 {
-                ep.required += constraints.clock_period * (*n as f64 - 1.0);
-                ep.slack = ep.required - ep.arrival;
-            }
-        }
-    }
-    Some(ep)
-}
-
 /// Kahn topological order over live combinational gates; gates on cycles
 /// are appended last (pessimistic single-pass arrivals). Returns the order
 /// and the number of appended cycle-remnant gates.
 ///
-/// The consumer adjacency is held in CSR form (one flat edge array plus
-/// per-gate offsets) instead of a `Vec` per gate, so a full ordering of a
-/// 40k-gate design performs three allocations, not 40k. Edges are laid out
-/// in the same (consumer gate, pin) visit order the per-gate-`Vec`
-/// formulation produced, so the resulting order is identical.
+/// The consumer adjacency is one flat table ([`FlatLists`]) instead of a
+/// `Vec` per gate, so a full ordering of a 40k-gate design performs a
+/// handful of allocations, not 40k. Each gate's consumers are listed in the
+/// (consumer gate, pin) order the per-gate-`Vec` formulation visited them,
+/// so the resulting order is identical.
 pub(crate) fn comb_topo(design: &MappedDesign, driver: &[Option<usize>]) -> (Vec<usize>, usize) {
     let n = design.netlist.gates.len();
-    let mut indeg = vec![0u32; n];
-    // Live combinational driver per net, flattened so the two edge passes
+    // Live combinational driver per net, flattened so the edge passes
     // index a compact u32 array instead of chasing into the gate table.
     // Built by replaying `driver_map`'s overwrite order (last live driver
     // wins) with the sequential-gate filter applied at each step, which
@@ -839,62 +934,43 @@ pub(crate) fn comb_topo(design: &MappedDesign, driver: &[Option<usize>]) -> (Vec
                 if gate.kind.is_sequential() { NO_GATE } else { gi as u32 };
         }
     }
-    // Single pass over the gate table: collect `(producer, consumer)`
-    // pairs while counting producer edges and consumer in-degrees, then
-    // counting-sort the pairs into the CSR edge array. The pairs are
-    // visited in the same (consumer gate, pin) order the per-gate-`Vec`
-    // formulation used, so the scatter preserves per-producer edge order.
-    let mut edge_count = vec![0u32; n];
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let mut live_comb = 0usize;
-    for (gi, gate) in design.netlist.gates.iter().enumerate() {
-        if design.is_dead(gi) || gate.kind.is_sequential() {
-            continue;
-        }
-        live_comb += 1;
-        for &inp in &gate.inputs {
-            let dep = comb_drv[inp as usize];
-            if dep != NO_GATE {
-                edge_count[dep as usize] += 1;
-                indeg[gi] += 1;
-                pairs.push((dep, gi as u32));
-            }
+    let live_comb =
+        |gi: usize| !design.is_dead(gi) && !design.netlist.gates[gi].kind.is_sequential();
+    let comb_drv = &comb_drv;
+    let mut consumers = FlatLists::default();
+    consumers.refill(n, || {
+        (0..n).filter(|&gi| live_comb(gi)).flat_map(move |gi| {
+            design.netlist.gates[gi].inputs.iter().filter_map(move |&inp| {
+                let dep = comb_drv[inp as usize];
+                (dep != NO_GATE).then_some((dep as usize, gi as u32))
+            })
+        })
+    });
+    let mut indeg = vec![0u32; n];
+    for g in 0..n {
+        for &c in consumers.get(g) {
+            indeg[c as usize] += 1;
         }
     }
-    let mut offsets = vec![0u32; n + 1];
-    for i in 0..n {
-        offsets[i + 1] = offsets[i] + edge_count[i];
-    }
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    let mut edges = vec![0u32; offsets[n] as usize];
-    for &(dep, gi) in &pairs {
-        edges[cursor[dep as usize] as usize] = gi;
-        cursor[dep as usize] += 1;
-    }
-    let mut queue: Vec<usize> = Vec::with_capacity(live_comb);
-    for (gi, &deg) in indeg.iter().enumerate() {
-        if deg == 0 && !design.is_dead(gi) && !design.netlist.gates[gi].kind.is_sequential() {
-            queue.push(gi);
-        }
-    }
-    let mut order = Vec::with_capacity(queue.len());
+    // Kahn's walk; the queue, in pop order, is the topological order.
+    let mut order: Vec<usize> = Vec::with_capacity((0..n).filter(|&gi| live_comb(gi)).count());
+    order.extend((0..n).filter(|&gi| indeg[gi] == 0 && live_comb(gi)));
     let mut qi = 0;
-    while qi < queue.len() {
-        let g = queue[qi];
+    while qi < order.len() {
+        let g = order[qi];
         qi += 1;
-        order.push(g);
-        for &c in &edges[offsets[g] as usize..offsets[g + 1] as usize] {
+        for &c in consumers.get(g) {
             let c = c as usize;
             indeg[c] -= 1;
             if indeg[c] == 0 {
-                queue.push(c);
+                order.push(c);
             }
         }
     }
     // Append any cycle remnants deterministically.
     let mut cycles = 0;
-    for (gi, &deg) in indeg.iter().enumerate().take(n) {
-        if !design.is_dead(gi) && !design.netlist.gates[gi].kind.is_sequential() && deg > 0 {
+    for (gi, &deg) in indeg.iter().enumerate() {
+        if deg > 0 && live_comb(gi) {
             order.push(gi);
             cycles += 1;
         }

@@ -2,8 +2,8 @@
 //!
 //! [`TimingGraph`] is a persistent companion to a [`MappedDesign`]: it
 //! caches the graph structure full STA rebuilds from scratch on every call
-//! (driver map, sink lists, per-net loads, levelized topological order) and
-//! the propagated arrival times. Localized edits made through
+//! (driver map, a flat sink table, per-net loads, levelized topological
+//! order) and the propagated arrival times. Localized edits made through
 //! [`TimingView`] — a cell resize, a gate kill — seed a level-ordered dirty
 //! worklist; re-propagation walks only the affected fanout cone and stops
 //! early when an arrival converges to its previous bit pattern. Structural
@@ -27,16 +27,24 @@
 //! - `wire_load`, `clock_port` and the `-from` exceptions change loads or
 //!   launch points: full rebuild.
 //!
+//! Queries come in two tiers. [`TimingView::cps`] and [`TimingView::qor`]
+//! read a [`SlackSummary`] (WNS, CPS, TNS) from one walk over the cached
+//! arrivals, naming no endpoint and tracing no path; [`TimingView::report`]
+//! builds the full [`TimingReport`] from the same walk, for the callers
+//! that print it. Both sort the endpoint slacks the same stable way, so
+//! the summary's figures are the report's, bit for bit.
+//!
 //! Determinism: on an acyclic graph, forward max-propagation and backward
 //! min-propagation produce bitwise-identical values over *any* valid
 //! topological order, because every gate is evaluated exactly once from the
 //! final values of its inputs and `f64::max`/`min` over a fixed set is
 //! order-free. The worklist processes gates in ascending (level, index)
-//! order — a valid order — and net loads are re-summed over sink lists kept
-//! in the same (gate, pin) order the full rebuild uses, so incremental
-//! results match `sta::analyze` bit for bit. Designs with combinational
-//! cycle remnants fall back to a full rebuild on any edit, since there the
-//! single-pass order itself defines the (pessimistic) result.
+//! order — a valid order — and net loads are re-summed over the live
+//! entries of a sink table kept in the (gate, pin) order the full rebuild
+//! uses, so incremental results match `sta::analyze` bit for bit. Designs
+//! with combinational cycle remnants fall back to a full rebuild on any
+//! edit, since there the single-pass order itself defines the
+//! (pessimistic) result.
 //!
 //! Cell data comes from the [`Library`] by each gate's cell id, exactly as
 //! `sta::analyze` reads it, so the graph keeps no per-cell state of its
@@ -44,12 +52,12 @@
 //!
 //! `CHATLS_STA_CHECK=1` (or a live [`StaCheckGuard`]) arms an oracle mode:
 //! every query recomputes from scratch and asserts bitwise equality of
-//! WNS/CPS/TNS and every endpoint slack.
+//! WNS/CPS/TNS and, for a report, every endpoint slack.
 
-use crate::design::{EditJournal, MappedDesign};
+use crate::design::{EditJournal, FlatLists, MappedDesign};
 use crate::passes::PassStats;
 use crate::sta::{
-    self, Constraints, EndpointSlack, PiKind, SlackMap, TimingException, TimingReport,
+    self, Constraints, EndpointSlack, PiKind, SlackMap, SlackSummary, TimingException, TimingReport,
 };
 use chatls_liberty::{Library, WireLoadModel};
 use chatls_verilog::netlist::GateKind;
@@ -214,7 +222,10 @@ impl ConstraintReach {
 pub struct TimingGraph {
     // Cached structure.
     driver: Vec<Option<usize>>,
-    sinks: Vec<Vec<(usize, usize)>>,
+    /// Per net, its `(gate, pin)` sinks at the last full build, in (gate,
+    /// pin) order. A kill leaves its pins in place: readers skip dead
+    /// gates, which keeps the order every load sum is taken in.
+    sinks: FlatLists<(u32, u32)>,
     order: Vec<usize>,
     level: Vec<u32>,
     is_po: Vec<bool>,
@@ -230,8 +241,12 @@ pub struct TimingGraph {
     // Lazily derived results.
     required: Option<Vec<f64>>,
     min_arrival: Option<Vec<f64>>,
+    summary: Option<SlackSummary>,
     report: Option<TimingReport>,
     hold: Option<Vec<EndpointSlack>>,
+    /// Scratch endpoint slacks for the summary, kept so that summaries
+    /// allocate nothing once the graph has been built.
+    slacks: Vec<f64>,
     // Validity bookkeeping.
     cached_constraints: Option<Constraints>,
     gates_len: usize,
@@ -260,7 +275,7 @@ impl TimingGraph {
     pub fn new() -> Self {
         Self {
             driver: Vec::new(),
-            sinks: Vec::new(),
+            sinks: FlatLists::default(),
             order: Vec::new(),
             level: Vec::new(),
             is_po: Vec::new(),
@@ -272,8 +287,10 @@ impl TimingGraph {
             source: Vec::new(),
             required: None,
             min_arrival: None,
+            summary: None,
             report: None,
             hold: None,
+            slacks: Vec::new(),
             cached_constraints: None,
             gates_len: 0,
             nets_len: 0,
@@ -306,6 +323,7 @@ impl TimingGraph {
     fn derived_stale(&mut self) {
         self.required = None;
         self.min_arrival = None;
+        self.summary = None;
         self.report = None;
         self.hold = None;
     }
@@ -388,23 +406,18 @@ impl TimingGraph {
         self.driver = a.driver;
         self.cycles = a.cycles;
         self.cached_constraints = Some(constraints.clone());
-        // Refill the per-net sink lists in place: the inner vectors are a
-        // slab keyed to this graph's lifetime, so the rebuilds a session
-        // triggers (after each structural cleanup, for instance) reuse
-        // their allocations instead of paying one Vec per net.
+        // Refill the flat sink table in place, so the rebuilds a session
+        // triggers (after each structural cleanup, for instance) reuse its
+        // two buffers.
         let nets_len = design.netlist.nets.len();
-        for s in &mut self.sinks {
-            s.clear();
-        }
-        self.sinks.resize_with(nets_len, Vec::new);
-        for (i, g) in design.netlist.gates.iter().enumerate() {
-            if design.is_dead(i) {
-                continue;
-            }
-            for (pin, &inp) in g.inputs.iter().enumerate() {
-                self.sinks[inp as usize].push((i, pin));
-            }
-        }
+        self.sinks.refill(nets_len, || {
+            let live =
+                design.netlist.gates.iter().enumerate().filter(|&(gi, _)| !design.is_dead(gi));
+            live.flat_map(|(gi, g)| {
+                let pins = g.inputs.iter().enumerate();
+                pins.map(move |(pin, &net)| (net as usize, (gi as u32, pin as u32)))
+            })
+        });
         self.is_po.clear();
         self.is_po.resize(nets_len, false);
         for (_, id) in &design.netlist.outputs {
@@ -455,28 +468,32 @@ impl TimingGraph {
 
     /// Marks the live combinational consumers of `net` dirty.
     fn dirty_sinks_of(&mut self, design: &MappedDesign, net: usize) {
-        let entries = std::mem::take(&mut self.sinks[net]);
-        let mut last = usize::MAX;
-        for &(gi, _) in &entries {
+        let sinks = std::mem::take(&mut self.sinks);
+        let mut last = u32::MAX;
+        for &(gi, _) in sinks.get(net) {
             if gi == last {
                 continue;
             }
             last = gi;
+            let gi = gi as usize;
             if !design.is_dead(gi) && !design.netlist.gates[gi].kind.is_sequential() {
                 self.push_dirty(gi);
             }
         }
-        self.sinks[net] = entries;
+        self.sinks = sinks;
     }
 
-    /// Re-sums the load of `net` over its sink list, replicating the
+    /// Re-sums the load of `net` over its live sinks, replicating the
     /// per-net body of [`MappedDesign::net_loads`] term for term.
     fn recompute_load(&mut self, design: &MappedDesign, library: &Library, net: usize) {
         let mut cap = 0.0;
         let mut fanout = 0u32;
-        for &(gi, pin) in &self.sinks[net] {
+        for &(gi, pin) in self.sinks.get(net) {
+            if design.is_dead(gi as usize) {
+                continue;
+            }
             fanout += 1;
-            if let Some(c) = library.input_cap(design.cells[gi], pin) {
+            if let Some(c) = library.input_cap(design.cells[gi as usize], pin as usize) {
                 cap += c;
             }
         }
@@ -575,16 +592,15 @@ impl TimingGraph {
         }
     }
 
-    /// Hook: gate `gi` was just tombstoned.
+    /// Hook: gate `gi` was just tombstoned. Its sink pins stay in the
+    /// table; the load re-sum of its input nets skips them.
     pub(crate) fn note_kill(&mut self, design: &MappedDesign, _library: &Library, gi: usize) {
         if self.full_dirty || self.geometry_mismatch(design) || self.mass_dirty(design) {
             self.invalidate();
             return;
         }
         self.derived_stale();
-        let inputs = design.netlist.gates[gi].inputs;
-        for &inp in &inputs {
-            self.sinks[inp as usize].retain(|&(g, _)| g != gi);
+        for &inp in &design.netlist.gates[gi].inputs {
             self.mark_load_dirty(inp as usize);
         }
         let out = design.netlist.gates[gi].output as usize;
@@ -662,7 +678,7 @@ impl TimingGraph {
     ) -> &TimingReport {
         self.ensure(design, library, constraints);
         if self.report.is_none() {
-            self.report = Some(sta::report_from_parts(
+            let report = sta::report_from_parts(
                 design,
                 library,
                 constraints,
@@ -670,13 +686,33 @@ impl TimingGraph {
                 &self.loads,
                 &self.driver,
                 self.cycles,
-            ));
+            );
+            self.summary = Some(report.summary());
+            self.report = Some(report);
         }
         if sta_check_enabled() {
             let fresh = sta::analyze(design, library, constraints);
             check_reports(self.report.as_ref().unwrap(), &fresh);
         }
         self.report.as_ref().unwrap()
+    }
+
+    /// WNS, CPS and TNS without the report: one endpoint walk over the
+    /// cached arrivals, reusing the graph's scratch slacks.
+    fn summary_mut(
+        &mut self,
+        design: &MappedDesign,
+        library: &Library,
+        constraints: &Constraints,
+    ) -> SlackSummary {
+        self.ensure(design, library, constraints);
+        let summary = *self.summary.get_or_insert_with(|| {
+            sta::summary_from_parts(design, library, constraints, &self.arrival, &mut self.slacks)
+        });
+        if sta_check_enabled() {
+            check_summary(&summary, &sta::analyze(design, library, constraints).summary());
+        }
+        summary
     }
 
     fn slack_map_mut(
@@ -744,10 +780,14 @@ fn check_vec(cached: &[f64], fresh: &[f64], what: &str) {
     }
 }
 
-fn check_reports(cached: &TimingReport, fresh: &TimingReport) {
+fn check_summary(cached: &SlackSummary, fresh: &SlackSummary) {
     assert_eq!(cached.wns.to_bits(), fresh.wns.to_bits(), "CHATLS_STA_CHECK: WNS diverged");
     assert_eq!(cached.cps.to_bits(), fresh.cps.to_bits(), "CHATLS_STA_CHECK: CPS diverged");
     assert_eq!(cached.tns.to_bits(), fresh.tns.to_bits(), "CHATLS_STA_CHECK: TNS diverged");
+}
+
+fn check_reports(cached: &TimingReport, fresh: &TimingReport) {
+    check_summary(&cached.summary(), &fresh.summary());
     assert_eq!(
         cached.endpoints.len(),
         fresh.endpoints.len(),
@@ -824,16 +864,24 @@ impl<'a> TimingView<'a> {
         self.constraints
     }
 
-    /// Full timing report, served incrementally.
+    /// Full timing report, served incrementally: endpoint names, module
+    /// paths and the critical-path trace, for `report_timing` and callers
+    /// that print them. Passes read [`Self::cps`] instead.
     pub fn report(&mut self) -> &TimingReport {
         self.graph.report_mut(self.design, self.library, self.constraints)
     }
 
-    /// QoR summary sharing the cached timing build with [`Self::report`]
-    /// (the timing and area halves see one graph construction).
+    /// Critical path slack, bitwise [`Self::report`]'s, from the slack
+    /// summary: no endpoint is named and no path traced.
+    pub fn cps(&mut self) -> f64 {
+        self.graph.summary_mut(self.design, self.library, self.constraints).cps
+    }
+
+    /// QoR of the current design: the slack summary (bitwise the
+    /// report's WNS, CPS and TNS) plus the area figures.
     pub fn qor(&mut self) -> crate::sta::QorReport {
-        let report = self.graph.report_mut(self.design, self.library, self.constraints);
-        sta::qor_from_timing(self.design, self.library, report)
+        let summary = self.graph.summary_mut(self.design, self.library, self.constraints);
+        sta::qor_from_summary(self.design, self.library, &summary)
     }
 
     /// Per-net arrival/required snapshot (same shape as [`sta::slack_map`]).
@@ -900,12 +948,12 @@ impl<'a> TimingView<'a> {
         edit: impl FnOnce(&mut EditJournal<'_>) -> T,
         keep: impl FnOnce(f64, f64) -> bool,
     ) -> Option<T> {
-        let before = self.report().cps;
+        let before = self.cps();
         let mut journal = EditJournal::new(self.design);
         let out = edit(&mut journal);
         let fresh = TimingGraph { local: self.graph.local, ..TimingGraph::new() };
         let pre_trial = std::mem::replace(self.graph, fresh);
-        let after = self.graph.report_mut(journal.design(), self.library, self.constraints).cps;
+        let after = self.graph.summary_mut(journal.design(), self.library, self.constraints).cps;
         if keep(before, after) {
             return Some(out);
         }

@@ -11,7 +11,7 @@
 use crate::design::MappedDesign;
 use crate::passes::{
     buffer_high_fanout_in, compile, exceeds_fanout, fix_hold, insert_clock_gating, not_slower,
-    retime, Effort,
+    retime, Effort, MIN_FANOUT_LIMIT,
 };
 use crate::script::{parse_script, Command};
 use crate::sta::{Constraints, QorReport, TimingReport};
@@ -201,7 +201,7 @@ pub fn command_manual() -> &'static [ManualEntry] {
             name: "set_max_fanout",
             synopsis: "set_max_fanout <n> [current_design]",
             description: "Sets the fanout limit used by buffer insertion. Compile at high effort and balance_buffers split nets with more sinks than this limit into buffer trees. Effective for designs whose critical paths run through high-fanout nets such as enables and broadcast buses.",
-            requirements: "Value must be a positive integer.",
+            requirements: "Value must be an integer of at least 2.",
         },
         ManualEntry {
             name: "compile",
@@ -225,7 +225,7 @@ pub fn command_manual() -> &'static [ManualEntry] {
             name: "balance_buffers",
             synopsis: "balance_buffers [-max_fanout <n>]",
             description: "Buffer balancing: splits high-fanout nets into balanced buffer trees, reducing the load seen by each driver. The right tool when timing violations come from high-fanout nets (enables, resets used as data, broadcast buses) rather than logic depth; prefer retiming for deep unbalanced logic.",
-            requirements: "Fanout limit must be a positive integer (default from set_max_fanout, else 12).",
+            requirements: "Fanout limit must be an integer of at least 2 (default from set_max_fanout, else 12).",
         },
         ManualEntry {
             name: "ungroup",
@@ -344,12 +344,22 @@ pub enum ValueKind {
     Flag,
     /// Any number (`-period 2.0`).
     Number,
-    /// Positive integer (`-max_fanout 16`).
+    /// Positive integer (`set_multicycle_path 2`).
     PositiveInt,
+    /// Fanout limit: an integer of at least [`MIN_FANOUT_LIMIT`]
+    /// (`-max_fanout 16`), as [`parse_fanout_limit`] reads it.
+    FanoutLimit,
     /// One of a fixed set of words (`-map_effort low|medium|high`).
     Enum(&'static [&'static str]),
     /// Any word (`-name 5K_heavy_1k`).
     Word,
+}
+
+/// Reads a fanout limit for `set_max_fanout` and `balance_buffers
+/// -max_fanout`: an integer of at least [`MIN_FANOUT_LIMIT`]. The tool and
+/// the `chatls-lint` analyzer both accept exactly these values.
+pub fn parse_fanout_limit(value: &str) -> Option<usize> {
+    value.parse::<usize>().ok().filter(|&v| v >= MIN_FANOUT_LIMIT)
 }
 
 /// One option a command understands.
@@ -478,7 +488,7 @@ pub fn command_specs() -> &'static [CommandSpec] {
         CommandSpec {
             name: "set_max_fanout",
             options: NO_OPTS,
-            positional: &[PositionalSpec { value: ValueKind::PositiveInt, required: true }],
+            positional: &[PositionalSpec { value: ValueKind::FanoutLimit, required: true }],
             requires_any: NONE_REQ,
         },
         CommandSpec {
@@ -508,7 +518,7 @@ pub fn command_specs() -> &'static [CommandSpec] {
         },
         CommandSpec {
             name: "balance_buffers",
-            options: &[opt!("-max_fanout", ValueKind::PositiveInt)],
+            options: &[opt!("-max_fanout", ValueKind::FanoutLimit)],
             positional: NO_POS,
             requires_any: NONE_REQ,
         },
@@ -844,13 +854,14 @@ impl SynthSession {
     }
 
     /// QoR of the current design state, served from the incremental timing
-    /// graph (one shared build for the timing and area halves).
+    /// graph's slack summary: no endpoint names, no critical-path trace.
     pub fn qor(&mut self) -> QorReport {
         self.view().qor()
     }
 
-    /// Full timing report of the current design state, served from the
-    /// incremental timing graph.
+    /// Full timing report of the current design state, with endpoint
+    /// names and the critical-path trace, served from the incremental
+    /// timing graph.
     pub fn timing_report(&mut self) -> TimingReport {
         self.view().report().clone()
     }
@@ -1076,12 +1087,9 @@ impl SynthSession {
                 Ok(())
             }
             "set_max_fanout" => {
-                let v = cmd
-                    .positional()
-                    .first()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&v| v > 0)
-                    .ok_or_else(|| self.err(cmd, "fanout must be a positive integer"))?;
+                let v = cmd.positional().first().and_then(|v| parse_fanout_limit(v)).ok_or_else(
+                    || self.err(cmd, "fanout limit must be an integer of at least 2"),
+                )?;
                 self.max_fanout = Some(v);
                 Ok(())
             }
@@ -1157,13 +1165,12 @@ impl SynthSession {
                 Ok(())
             }
             "balance_buffers" => {
-                let limit =
-                    match cmd.option("-max_fanout") {
-                        Some(v) => v.parse::<usize>().ok().filter(|&v| v > 0).ok_or_else(|| {
-                            self.err(cmd, "-max_fanout must be a positive integer")
-                        })?,
-                        None => self.max_fanout.unwrap_or(12),
-                    };
+                let limit = match cmd.option("-max_fanout") {
+                    Some(v) => parse_fanout_limit(v).ok_or_else(|| {
+                        self.err(cmd, "-max_fanout must be an integer of at least 2")
+                    })?,
+                    None => self.max_fanout.unwrap_or(12),
+                };
                 // Like the real command, buffering is QoR-driven: a tree
                 // that slows the clock down is not committed. With no net
                 // over the limit there is no tree to try.
@@ -1512,6 +1519,26 @@ mod tests {
             assert!(accepted_commands().contains(alias));
             assert!(!manual.contains(alias), "alias {alias} should stay undocumented");
         }
+    }
+
+    #[test]
+    fn fanout_limit_of_one_fails_before_any_buffering() {
+        // With a limit of 1 no buffer tree exists: each split leaves the
+        // net with as many sinks as before.
+        let design = chatls_designs::by_name("aes").expect("catalog design");
+        let template = SessionBuilder::new(design.netlist(), nangate45()).template().unwrap();
+        let clock = "create_clock -period 3.5 [get_ports clk]\n";
+        for (command, message) in [
+            ("balance_buffers -max_fanout 1", "-max_fanout must be an integer of at least 2"),
+            ("set_max_fanout 1", "fanout limit must be an integer of at least 2"),
+        ] {
+            let r = template.session().run_script(&format!("{clock}{command}\nbalance_buffers\n"));
+            let error = r.error.expect("a fanout limit of 1 must fail");
+            assert_eq!((r.executed, error.line), (1, 2), "{command}");
+            assert_eq!(error.message, message);
+        }
+        let r = template.session().run_script(&format!("{clock}balance_buffers -max_fanout 2\n"));
+        assert!(r.ok(), "{:?}", r.error);
     }
 
     #[test]

@@ -1,0 +1,109 @@
+//! Allocation guard: one templated run of each synthesis bench script
+//! makes at most a fixed number of heap allocations.
+//!
+//! Wall-clock ceilings depend on the host; allocation counts do not. A
+//! counting global allocator tallies the allocations this test's thread
+//! makes while a session stamped from a prebuilt template runs the script,
+//! so a per-net list or a per-endpoint string that creeps back into the
+//! synthesis path fails `cargo test` on any machine. The counts are the
+//! same in debug and release builds and at any `CHATLS_THREADS`: none of
+//! these designs is large enough for the level-parallel arrival walk.
+
+use chatls_liberty::nangate45;
+use chatls_synth::SessionBuilder;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The aes script of `crates/bench/benches/synth.rs` (`SCRIPT`).
+const AES_SCRIPT: &str = "create_clock -period 9.0 [get_ports clk]\n\
+                          compile -map_effort high\n\
+                          report_qor\n";
+
+/// The fft trial script of `crates/bench/benches/synth.rs`
+/// (`RETIME_SCRIPT`): eight QoR-gated trials, one rolled back.
+const FFT_RETIME_SCRIPT: &str = "create_clock -period 1.5 [get_ports clk]\n\
+                                 compile -map_effort high\n\
+                                 optimize_registers\n\
+                                 balance_buffers\n\
+                                 report_qor\n";
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: allocations made while the thread-local is torn down
+    // are not this test's.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; counting touches
+// only a const-initialized thread-local, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread makes in one run of `script` on a session
+/// stamped from a template of catalog design `design`. An uncounted run
+/// comes first, so that the library's lookup tables, built on first use,
+/// and the process-wide counters are not charged to the counted one.
+fn allocations_per_run(design: &str, script: &str) -> u64 {
+    let design = chatls_designs::by_name(design).expect("catalog design");
+    let template = SessionBuilder::new(design.netlist(), nangate45()).template().expect("maps");
+    let warm_up = template.session().run_script(script);
+    assert!(warm_up.ok(), "the counted script must run to its end: {:?}", warm_up.error);
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = template.session().run_script(script);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(result, warm_up, "both runs must do the same work");
+    allocations
+}
+
+/// Asserts that one run of `script` on `design` allocates at most
+/// `ceiling` times.
+fn assert_allocations_at_most(design: &str, script: &str, ceiling: u64) {
+    let allocations = allocations_per_run(design, script);
+    assert!(
+        allocations <= ceiling,
+        "{design}: one templated run made {allocations} heap allocations (ceiling {ceiling}): \
+         a per-net list or a per-endpoint string is back on the synthesis path"
+    );
+}
+
+// Each ceiling is the measured count plus 10%, rounded up to a hundred:
+// room for a new log line or report field, none for a return of per-net
+// sink lists or of endpoint names that passes never read.
+
+#[test]
+fn aes_compile_script_stays_allocation_lean() {
+    // Measured: 16,126.
+    assert_allocations_at_most("aes", AES_SCRIPT, 17_800);
+}
+
+#[test]
+fn fft_trial_script_stays_allocation_lean() {
+    // Measured: 23,922.
+    assert_allocations_at_most("fft", FFT_RETIME_SCRIPT, 26_400);
+}

@@ -54,9 +54,12 @@ fn session_reports_match_fresh_analysis_bitwise() {
 /// constraint can: constraint writes of each class after a query and after
 /// a `compile`, `-from`/`-to`/multicycle exceptions, ungrouping, retiming,
 /// buffer balancing below and above its limit, clock gating, hold fixing,
-/// and a `-from` on the clock port, which hold analysis ignores. `{in}`
-/// and `{out}` name an input and an output bus.
-const CLASS_SCRIPTS: [&str; 3] = [
+/// and a `-from` on the clock port, which hold analysis ignores. The last
+/// script matches `-to` prefixes against register endpoints (`<Q net>/D`):
+/// ending inside a bus name, at a bit, at `bit/`, at `bit/D` and past the
+/// endpoint. `{in}` and `{out}` name an input and an output bus, `{reg}` a
+/// register bus.
+const CLASS_SCRIPTS: [&str; 4] = [
     "create_clock -period 0.9 [get_ports clk]\n\
      report_qor\n\
      set_max_area 0\n\
@@ -94,6 +97,17 @@ const CLASS_SCRIPTS: [&str; 3] = [
      set_false_path -from [get_ports clk]\n\
      report_hold\n\
      report_qor\n",
+    "create_clock -period 0.9 [get_ports clk]\n\
+     report_qor\n\
+     set_multicycle_path 2 -to {reg}\n\
+     report_qor\n\
+     compile\n\
+     set_false_path -to {{reg}[3]}\n\
+     set_multicycle_path 3 -to {{reg}[5]/}\n\
+     report_timing\n\
+     set_false_path -to {{reg}[7]/D}\n\
+     set_false_path -to {{reg}[9]/D/}\n\
+     report_qor\n",
 ];
 
 /// Everything a run shows: its log, its final QoR and, when observed, the
@@ -122,11 +136,14 @@ fn qor_bits(q: &QorReport) -> String {
 fn oracle_mode_keeps_scripted_outputs_identical() {
     // riscv32i has hold-mux registers for clock gating to convert; simd
     // has none.
-    for (name, input, output) in [("riscv32i", "instr", "pc_out"), ("simd", "va", "vout")] {
+    for (name, input, output, register) in
+        [("riscv32i", "instr", "pc_out", "riscv32i/u_rf/r1"), ("simd", "va", "vout", "simd/sy1")]
+    {
         let design = chatls_designs::by_name(name).expect("benchmark");
         let template = session_template(&design);
         for script in CLASS_SCRIPTS {
-            let script = script.replace("{in}", input).replace("{out}", output);
+            let script =
+                script.replace("{in}", input).replace("{out}", output).replace("{reg}", register);
             for observed in [false, true] {
                 let plain = run_outputs(&template, &script, observed);
                 let oracle = StaCheckGuard::arm();
