@@ -527,12 +527,12 @@ fn main() {
     assert_scriptir_analysis_fast();
     assert_matmul_fast();
     assert_full_sta_fast();
-    // Best run about 4.0 ms (min of 150 runs on a shared 2-core box);
-    // 12 ms, 3x the best, fails only an algorithmic regression (per-gate
+    // Best run about 3.0 ms (min of 150 runs on a shared 2-core box);
+    // 9 ms, 3x the best, fails only an algorithmic regression (per-gate
     // heap allocation creeping back in, a pass going quadratic).
-    assert_run_script_fast("aes", SCRIPT, "synth/run_script_aes_from_template", 12_000_000);
+    assert_run_script_fast("aes", SCRIPT, "synth/run_script_aes_from_template", 9_000_000);
     // The trial path: eight QoR-gated trial edits, one rolled back. Its
-    // best run measured 18-20 ms (min of 40 runs on the same box); 35 ms
+    // best run measured 13-17 ms (min of 40 runs on the same box); 35 ms
     // fails an algorithmic regression, and the speed probe stretches it
     // when the box itself runs slow.
     let row = "synth/run_script_fft_retime_from_template";

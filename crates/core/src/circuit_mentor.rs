@@ -363,16 +363,19 @@ pub fn detect_traits(netlist: &Netlist) -> DesignTraits {
     let comb = netlist.num_comb_gates().max(1);
     let xor_gates =
         netlist.gates.iter().filter(|g| matches!(g.kind, GateKind::Xor | GateKind::Xnor)).count();
-    let mut paths: Vec<&str> = netlist.gates.iter().map(|g| g.path.as_str()).collect();
-    paths.sort();
-    paths.dedup();
+    // Each path is listed once in the table, so the paths the gates use
+    // are its entries that some gate points at.
+    let mut used = vec![false; netlist.paths.len()];
+    for g in &netlist.gates {
+        used[g.path.0 as usize] = true;
+    }
 
     DesignTraits {
         max_fanout,
         logic_depth: depth as usize,
         enable_reg_fraction: if regs == 0 { 0.0 } else { enable_regs as f64 / regs as f64 },
         xor_fraction: xor_gates as f64 / comb as f64,
-        module_paths: paths.len(),
+        module_paths: used.iter().filter(|&&u| u).count(),
         registers: regs,
         gates: netlist.gates.len(),
     }

@@ -26,6 +26,7 @@ use crate::llm::TaskContext;
 use crate::synthrag::SynthRag;
 use chatls_lint::Diagnostic;
 use chatls_synth::script::{parse_script, Command};
+use chatls_synth::tool::parse_fanout_limit;
 use serde::{Deserialize, Serialize};
 
 /// One revised thought step (`Tᵢ` → `Tᵢ*`).
@@ -409,15 +410,21 @@ impl<'db> SynthExpert<'db> {
                 );
             }
         }
+        // Fanout limits follow the tool's own rule (`parse_fanout_limit`).
         if name == "balance_buffers" {
             if let Some(v) = parsed.option("-max_fanout") {
-                if v.parse::<usize>().is_err() {
+                if parse_fanout_limit(v).is_none() {
                     return Validation::Repaired(
                         "balance_buffers -max_fanout 10".into(),
-                        format!("fixed non-numeric -max_fanout '{v}'"),
+                        format!("fixed -max_fanout '{v}' to 10: {FANOUT_RULE}"),
                     );
                 }
             }
+        }
+        if name == "set_max_fanout"
+            && parsed.positional().first().and_then(|v| parse_fanout_limit(v)).is_none()
+        {
+            return Validation::Dropped(format!("dropped '{line}': {FANOUT_RULE}"));
         }
         if name == "set_max_area"
             && parsed.positional().first().and_then(|v| v.parse::<f64>().ok()).is_none()
@@ -430,6 +437,9 @@ impl<'db> SynthExpert<'db> {
         Validation::Ok
     }
 }
+
+/// The fanout-limit rule, as validation messages name it.
+const FANOUT_RULE: &str = "a fanout limit must be an integer of at least 2";
 
 enum Validation {
     Ok,
@@ -605,6 +615,26 @@ mod tests {
         let trace = expert().refine(&t, draft);
         assert!(trace.script.contains("compile -map_effort high"));
         assert!(!trace.script.contains("extreme"));
+        // Fanout limits below 2, or not integers, are repaired or dropped
+        // with the rule named; 2 itself passes.
+        for (line, kept) in [
+            ("balance_buffers -max_fanout fast", "balance_buffers -max_fanout 10"),
+            ("balance_buffers -max_fanout 0", "balance_buffers -max_fanout 10"),
+            ("balance_buffers -max_fanout 1", "balance_buffers -max_fanout 10"),
+            ("balance_buffers -max_fanout 2", "balance_buffers -max_fanout 2"),
+            ("set_max_fanout 1", ""),
+            ("set_max_fanout 0", ""),
+            ("set_max_fanout", ""),
+            ("set_max_fanout 2", "set_max_fanout 2"),
+        ] {
+            let draft = format!("create_clock -period 2.000 [get_ports clk]\n{line}\ncompile\n");
+            let trace = expert().refine(&t, &draft);
+            let revision = &trace.steps[1].revision;
+            assert_eq!(revision.contains("at least 2"), kept != line, "{line}: {revision}");
+            let has = |want: &str| trace.script.lines().any(|l| l == want);
+            assert!(kept.is_empty() || has(kept), "{line}: {}", trace.script);
+            assert!(kept == line || !has(line), "{line}: {}", trace.script);
+        }
     }
 
     #[test]

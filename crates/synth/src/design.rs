@@ -170,6 +170,11 @@ impl MappedDesign {
     }
 
     /// Map from net id to `(gate index, input pin position)` of live sinks.
+    ///
+    /// One heap block per net, so no pass calls it: passes count sinks with
+    /// [`Self::fanout_counts`] and gather the pins they need into flat
+    /// tables. It stays as the plain reference the tests check those
+    /// against (and the buffer split's reference copy reads).
     pub fn sink_map(&self) -> Vec<Vec<(usize, usize)>> {
         let mut map = vec![Vec::new(); self.netlist.nets.len()];
         for (i, g) in self.netlist.gates.iter().enumerate() {
@@ -292,33 +297,25 @@ impl<T: Copy + Default> FlatLists<T> {
     }
 }
 
-/// The state of a pre-existing gate before an in-place journaled edit.
-#[derive(Debug)]
-struct SavedGate {
-    gi: usize,
-    inputs: InputList,
-    output: NetId,
-    dead: bool,
-}
-
 /// A journaled edit of a [`MappedDesign`]: reads, plus exactly the edits
 /// trial bodies make, each recorded so that a rollback can undo the lot
 /// without the design ever having been copied. Trial bodies get one from
 /// [`crate::TimingView::trial`].
 ///
-/// Appended nets and gates are undone by truncating `nets`, `gates`,
-/// `cells` and the dead flags to their lengths when the journal opened.
-/// An in-place edit of a gate that existed then (a rewired pin, new
-/// inputs and output, a kill) first saves that gate's prior wiring and
-/// dead flag; rollback replays the saves in reverse. The journal holds
-/// the design's only mutable borrow, so an edit cannot bypass it.
-/// Dropping the journal keeps the edits.
+/// Appended nets and gates are undone by truncating the net names,
+/// `gates`, `cells` and the dead flags to their lengths when the journal
+/// opened. An in-place edit of a gate that existed then (a rewired pin,
+/// new inputs and output, a kill) first saves a copy of that gate and its
+/// dead flag; rollback replays the saves in reverse. The journal holds the
+/// design's only mutable borrow, so an edit cannot bypass it. Dropping the
+/// journal keeps the edits.
 #[derive(Debug)]
 pub struct EditJournal<'a> {
     design: &'a mut MappedDesign,
     gates_mark: usize,
     nets_mark: usize,
-    saved: Vec<SavedGate>,
+    /// `(index, gate, dead flag)` of each pre-existing gate before an edit.
+    saved: Vec<(usize, Gate, bool)>,
 }
 
 impl<'a> EditJournal<'a> {
@@ -334,22 +331,16 @@ impl<'a> EditJournal<'a> {
         self.design
     }
 
-    /// Saves gate `gi`'s wiring and dead flag if it predates the journal;
-    /// gates the journal appended are truncated away instead.
+    /// Saves gate `gi` and its dead flag if it predates the journal; gates
+    /// the journal appended are truncated away instead.
     fn save(&mut self, gi: usize) {
         if gi < self.gates_mark {
-            let gate = &self.design.netlist.gates[gi];
-            self.saved.push(SavedGate {
-                gi,
-                inputs: gate.inputs,
-                output: gate.output,
-                dead: self.design.dead[gi],
-            });
+            self.saved.push((gi, self.design.netlist.gates[gi], self.design.dead[gi]));
         }
     }
 
     /// Adds a net ([`Netlist::add_net`]); returns its id.
-    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
+    pub fn add_net(&mut self, name: impl AsRef<str>) -> NetId {
         self.design.netlist.add_net(name)
     }
 
@@ -382,11 +373,9 @@ impl<'a> EditJournal<'a> {
     /// opened.
     pub(crate) fn rollback(self) {
         let design = self.design;
-        for s in self.saved.iter().rev() {
-            let gate = &mut design.netlist.gates[s.gi];
-            gate.inputs = s.inputs;
-            gate.output = s.output;
-            design.dead[s.gi] = s.dead;
+        for &(gi, gate, dead) in self.saved.iter().rev() {
+            design.netlist.gates[gi] = gate;
+            design.dead[gi] = dead;
         }
         design.netlist.gates.truncate(self.gates_mark);
         design.cells.truncate(self.gates_mark);

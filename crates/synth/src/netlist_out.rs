@@ -20,7 +20,7 @@ use std::fmt::Write;
 pub fn write_verilog(design: &MappedDesign, library: &Library) -> String {
     let nl = &design.netlist;
     let mut s = String::new();
-    let net_name = |id: u32| -> String { sanitize(&nl.nets[id as usize].name) };
+    let net_name = |id: u32| -> String { sanitize(&nl.nets[id as usize]) };
     let clock = nl.clock.clone().unwrap_or_else(|| "clk".to_string());
 
     write!(s, "module {} (", sanitize(&nl.name)).unwrap();
@@ -44,8 +44,7 @@ pub fn write_verilog(design: &MappedDesign, library: &Library) -> String {
     writeln!(s, ");").unwrap();
 
     // Wire declarations for all internal nets.
-    for (id, _net) in nl.nets.iter().enumerate() {
-        let id = id as u32;
+    for id in 0..nl.nets.len() as u32 {
         let is_port_bit = nl.inputs.iter().any(|(_, i)| *i == id);
         if !is_port_bit {
             writeln!(s, "  wire {};", net_name(id)).unwrap();

@@ -10,8 +10,9 @@ use crate::timing_graph::TimingView;
 use chatls_liberty::Library;
 use chatls_verilog::netlist::{Gate, GateKind, InputList, MAX_GATE_ARITY};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BinaryHeap;
 
 /// Statistics returned by a pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -695,6 +696,13 @@ pub fn buffer_high_fanout(
 /// [`buffer_high_fanout`] through a journal, as the buffer trials of
 /// `compile -map_effort high` and `balance_buffers` run it.
 ///
+/// Nets split worst first: most sinks, then lowest net id. A split changes
+/// no other net's fanout and leaves every new buffer net within the limit,
+/// so a max-heap of the nets over the limit yields that order without
+/// rescanning the net table, and only their sink pins are gathered. A
+/// split net goes back on the heap, with its new buffers as its sinks,
+/// while they still exceed the limit.
+///
 /// With a limit below [`MIN_FANOUT_LIMIT`] the pass does nothing.
 pub fn buffer_high_fanout_in(
     edit: &mut EditJournal<'_>,
@@ -708,54 +716,68 @@ pub fn buffer_high_fanout_in(
     if max_fanout < MIN_FANOUT_LIMIT {
         return stats;
     }
-    // The sink map is built once and maintained across splits (a split
-    // moves a net's sinks onto the new buffer nets and leaves every other
-    // net untouched), so each iteration costs a scan of the net table
-    // instead of a full map rebuild.
-    let mut sinks = edit.design().sink_map();
-    loop {
-        let mut worst: Option<(usize, usize)> = None; // (net, fanout)
-        for (net, s) in sinks.iter().enumerate() {
-            if s.len() > max_fanout && worst.map(|(_, f)| s.len() > f).unwrap_or(true) {
-                worst = Some((net, s.len()));
-            }
+    let design = edit.design();
+    let fanout = design.fanout_counts();
+    let over = |net: u32| fanout[net as usize] as usize > max_fanout;
+    // The over-limit nets' sink pins, in (gate, pin) order.
+    let mut pins = FlatLists::default();
+    pins.refill(fanout.len(), || {
+        let live = design.netlist.gates.iter().enumerate().filter(|&(gi, _)| !design.is_dead(gi));
+        live.flat_map(|(gi, g)| {
+            let inputs = g.inputs.iter().enumerate().filter(|&(_, &net)| over(net));
+            inputs.map(move |(pin, &net)| (net as usize, (gi, pin)))
+        })
+    });
+    let mut heap: BinaryHeap<(usize, Reverse<usize>, SplitSinks)> = (0..fanout.len() as u32)
+        .filter(|&net| over(net))
+        .map(|net| (fanout[net as usize] as usize, Reverse(net as usize), SplitSinks::Gathered))
+        .collect();
+    let mut sinks: Vec<(usize, usize)> = Vec::new();
+    while let Some((count, Reverse(net), from)) = heap.pop() {
+        sinks.clear();
+        match from {
+            SplitSinks::Gathered => sinks.extend_from_slice(pins.get(net)),
+            SplitSinks::Buffers(first) => sinks.extend((first..first + count).map(|gi| (gi, 0))),
         }
-        let (net, _) = match worst {
-            Some(w) => w,
-            None => break,
-        };
-        let net_sinks = std::mem::take(&mut sinks[net]);
-        let netlist = &edit.design().netlist;
-        let path = netlist
-            .gates
-            .get(net_sinks[0].0)
-            .map(|g| g.path.clone())
-            .unwrap_or_else(|| netlist.name.clone());
+        let path = edit.design().netlist.gates[sinks[0].0].path;
+        let first_buffer = edit.design().netlist.gates.len();
         // Split sinks into groups; each group gets a buffer.
-        for group in net_sinks.chunks(max_fanout) {
+        for group in sinks.chunks(max_fanout) {
             let netlist = &edit.design().netlist;
-            let name = format!("{}$buf{}", netlist.nets[net].name, netlist.nets.len());
+            let name = format!("{}$buf{}", &netlist.nets[net], netlist.nets.len());
             let new_net = edit.add_net(name);
             let gate = Gate {
                 kind: GateKind::Buf,
                 inputs: InputList::from_slice(&[net as u32]),
                 output: new_net,
-                path: path.clone(),
+                path,
                 reset_value: false,
                 async_reset: None,
                 enable: None,
                 dont_touch: true,
             };
-            let buf_gi = edit.push_gate(gate, buf);
+            edit.push_gate(gate, buf);
             stats.added += 1;
             for &(gi, pin) in group {
                 edit.rewire_input(gi, pin, new_net);
             }
-            sinks.push(group.to_vec());
-            sinks[net].push((buf_gi, 0));
+        }
+        let buffers = sinks.len().div_ceil(max_fanout);
+        if buffers > max_fanout {
+            heap.push((buffers, Reverse(net), SplitSinks::Buffers(first_buffer)));
         }
     }
     stats
+}
+
+/// Where [`buffer_high_fanout_in`] finds the sinks of a net it splits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum SplitSinks {
+    /// The net's list in the pin table gathered before the first split.
+    Gathered,
+    /// Pin 0 of the buffers the net's last split added, which are
+    /// consecutive gates from this index on.
+    Buffers(usize),
 }
 
 /// Keep rule of the buffer trials: a tree is committed unless CPS got
@@ -829,17 +851,17 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
                 let design = edit.design();
                 let comb_inputs = design.netlist.gates[gate_i].inputs;
                 let q_net = design.netlist.gates[dff_i].output;
-                let path = design.netlist.gates[dff_i].path.clone();
+                let path = design.netlist.gates[dff_i].path;
                 let mut new_inputs = InputList::default();
                 for (k, &inp) in comb_inputs.iter().enumerate() {
                     let nets = &edit.design().netlist.nets;
-                    let name = format!("{}$ret{}_{k}", nets[q_net as usize].name, nets.len());
+                    let name = format!("{}$ret{}_{k}", &nets[q_net as usize], nets.len());
                     let nq = edit.add_net(name);
                     let dff = Gate {
                         kind: GateKind::Dff,
                         inputs: InputList::from_slice(&[inp]),
                         output: nq,
-                        path: path.clone(),
+                        path,
                         reset_value: false,
                         async_reset: None,
                         enable: None,
@@ -937,18 +959,18 @@ pub fn fix_hold(view: &mut TimingView) -> PassStats {
                     continue;
                 }
                 let q = design.netlist.gates[gi].output;
-                let name = format!("{}/D (hold)", design.netlist.nets[q as usize].name);
+                let name = format!("{}/D (hold)", &design.netlist.nets[q as usize]);
                 if !violations.contains(&name) {
                     continue;
                 }
                 let d = design.netlist.gates[gi].inputs[0];
-                let path = design.netlist.gates[gi].path.clone();
+                let path = design.netlist.gates[gi].path;
                 let new_net = design.netlist.add_net(format!(
                     "{}$hold{}",
-                    design.netlist.nets[d as usize].name,
+                    &design.netlist.nets[d as usize],
                     design.netlist.nets.len()
                 ));
-                let gate = chatls_verilog::netlist::Gate {
+                let gate = Gate {
                     kind: GateKind::Buf,
                     inputs: InputList::from_slice(&[d]),
                     output: new_net,
@@ -975,11 +997,12 @@ pub fn fix_hold(view: &mut TimingView) -> PassStats {
 /// `ungroup -all`: dissolves hierarchy by rewriting every gate's module
 /// path to the top name, unlocking cross-boundary optimization.
 pub fn ungroup_all(design: &mut MappedDesign) -> usize {
-    let top = design.netlist.name.clone();
+    let netlist = &mut design.netlist;
+    let top = netlist.intern_path(&netlist.name.clone());
     let mut changed = 0;
-    for g in design.netlist.gates.iter_mut() {
+    for g in netlist.gates.iter_mut() {
         if g.path != top {
-            g.path = top.clone();
+            g.path = top;
             changed += 1;
         }
     }
@@ -1307,9 +1330,10 @@ mod tests {
              module top(input a, output z); sub u (.x(a), .y(z)); endmodule",
             "top",
         );
-        assert!(d.netlist.gates.iter().any(|g| g.path == "top/u"));
+        let path = |d: &MappedDesign, g: &Gate| d.netlist.path(g.path).to_string();
+        assert!(d.netlist.gates.iter().any(|g| path(&d, g) == "top/u"));
         ungroup_all(&mut d);
-        assert!(d.netlist.gates.iter().all(|g| g.path == "top" || g.path == "$const"));
+        assert!(d.netlist.gates.iter().all(|g| path(&d, g) == "top" || path(&d, g) == "$const"));
     }
 }
 

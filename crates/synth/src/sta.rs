@@ -661,7 +661,7 @@ fn for_each_endpoint(
             continue;
         }
         let required = constraints.clock_period - setup_time(library, design.cells[gi]);
-        let q = &design.netlist.nets[gate.output as usize].name;
+        let q = &design.netlist.nets[gate.output as usize];
         visit(Endpoint::Register(gi), gate.inputs[0], q, "/D", required);
     }
     for (i, (name, id)) in design.netlist.outputs.iter().enumerate() {
@@ -739,12 +739,15 @@ pub(crate) fn report_from_parts(
             let (endpoint, module_path) = match ep.at {
                 Endpoint::Register(gi) => {
                     let gate = &netlist.gates[gi];
-                    (format!("{}/D", netlist.nets[gate.output as usize].name), gate.path.clone())
+                    let q = &netlist.nets[gate.output as usize];
+                    (format!("{q}/D"), netlist.path(gate.path).to_string())
                 }
                 Endpoint::Output(i) => (
                     netlist.outputs[i].0.clone(),
-                    driver[ep.net as usize]
-                        .map_or_else(|| netlist.name.clone(), |gi| netlist.gates[gi].path.clone()),
+                    driver[ep.net as usize].map_or_else(
+                        || netlist.name.clone(),
+                        |gi| netlist.path(netlist.gates[gi].path).to_string(),
+                    ),
                 ),
             };
             EndpointSlack {
@@ -866,8 +869,8 @@ pub(crate) fn hold_from_min(
         let arr = min_arr[gate.inputs[0] as usize];
         let arr = if arr.is_finite() { arr.max(0.0) } else { 0.0 };
         endpoints.push(EndpointSlack {
-            endpoint: format!("{}/D (hold)", design.netlist.nets[gate.output as usize].name),
-            module_path: gate.path.clone(),
+            endpoint: format!("{}/D (hold)", &design.netlist.nets[gate.output as usize]),
+            module_path: design.netlist.path(gate.path).to_string(),
             arrival: arr,
             required: hold,
             slack: arr - hold,
@@ -999,7 +1002,7 @@ fn trace_path(
         match driver[cur as usize] {
             None => {
                 steps.push(PathStep {
-                    net: design.netlist.nets[cur as usize].name.clone(),
+                    net: design.netlist.nets[cur as usize].to_string(),
                     cell: String::new(),
                     module_path: design.netlist.name.clone(),
                     arrival: arrival[cur as usize].max(0.0),
@@ -1009,11 +1012,11 @@ fn trace_path(
             Some(gi) => {
                 let gate = &design.netlist.gates[gi];
                 steps.push(PathStep {
-                    net: design.netlist.nets[cur as usize].name.clone(),
+                    net: design.netlist.nets[cur as usize].to_string(),
                     cell: library
                         .cell_by_id(design.cells[gi])
                         .map_or(String::new(), |c| c.name.clone()),
-                    module_path: gate.path.clone(),
+                    module_path: design.netlist.path(gate.path).to_string(),
                     arrival: arrival[cur as usize].max(0.0),
                 });
                 if gate.kind.is_sequential() || gate.inputs.is_empty() {

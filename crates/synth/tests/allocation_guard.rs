@@ -1,5 +1,6 @@
 //! Allocation guard: one templated run of each synthesis bench script
-//! makes at most a fixed number of heap allocations.
+//! makes at most a fixed number of heap allocations, and copying a mapped
+//! design costs a few buffer copies, not one allocation per gate or net.
 //!
 //! Wall-clock ceilings depend on the host; allocation counts do not. A
 //! counting global allocator tallies the allocations this test's thread
@@ -10,7 +11,7 @@
 //! these designs is large enough for the level-parallel arrival walk.
 
 use chatls_liberty::nangate45;
-use chatls_synth::SessionBuilder;
+use chatls_synth::{MappedDesign, SessionBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -98,12 +99,39 @@ fn assert_allocations_at_most(design: &str, script: &str, ceiling: u64) {
 
 #[test]
 fn aes_compile_script_stays_allocation_lean() {
-    // Measured: 16,126.
-    assert_allocations_at_most("aes", AES_SCRIPT, 17_800);
+    // Measured: 1,228.
+    assert_allocations_at_most("aes", AES_SCRIPT, 1_400);
 }
 
 #[test]
 fn fft_trial_script_stays_allocation_lean() {
-    // Measured: 23,922.
-    assert_allocations_at_most("fft", FFT_RETIME_SCRIPT, 26_400);
+    // Measured: 1,416.
+    assert_allocations_at_most("fft", FFT_RETIME_SCRIPT, 1_600);
+}
+
+/// The copy-on-write detach every stamped session's first edit pays:
+/// cloning a mapped design allocates once per port name and module path
+/// plus a fixed number of tables, however many gates and nets it has.
+#[test]
+fn design_copies_allocate_per_port_and_path_not_per_gate() {
+    let lib = nangate45();
+    let catalog =
+        chatls_designs::benchmarks().into_iter().chain(chatls_designs::database_designs());
+    for design in catalog {
+        let mapped = MappedDesign::map(design.netlist(), &lib).expect("maps");
+        let nl = &mapped.netlist;
+        let ceiling = (nl.inputs.len() + nl.outputs.len() + nl.paths.len() + 16) as u64;
+        let before = ALLOCATIONS.with(Cell::get);
+        let copy = mapped.clone();
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        assert!(copy == mapped);
+        assert!(
+            allocations <= ceiling,
+            "{}: copying the design ({} gates, {} nets) made {allocations} heap allocations \
+             (ceiling {ceiling}): a per-gate or per-net heap block is back in the netlist",
+            design.name,
+            nl.gates.len(),
+            nl.nets.len()
+        );
+    }
 }

@@ -13,9 +13,13 @@
 //! clone, and the timing equals a fresh analysis of it. A resize after
 //! each trial checks that the graph the trial left keeps updating
 //! correctly.
+//!
+//! The heap-ordered buffer split is also checked on its own against the
+//! scan-based reference: on random nets with equal fanouts and nets that
+//! split more than once, and on every catalog design.
 
 use chatls_liberty::{nangate45, Library};
-use chatls_synth::passes::buffer_high_fanout_in;
+use chatls_synth::passes::{buffer_high_fanout, buffer_high_fanout_in, PassStats};
 use chatls_synth::sta::{self, Constraints, EndpointSlack, SlackMap, TimingReport};
 use chatls_synth::{EditJournal, MappedDesign, TimingGraph, TimingView, NO_CELL};
 use chatls_verilog::netlist::{Gate, GateKind, InputList, Netlist};
@@ -137,11 +141,17 @@ impl Edits for MappedDesign {
 }
 
 /// The buffer-tree split written straight against the design, as the pass
-/// read before it moved onto the journal: the journaled pass must edit
-/// exactly as this does.
-fn reference_buffer_trees(design: &mut MappedDesign, lib: &Library, max_fanout: usize) {
+/// read before it moved onto the journal and a heap: each round rescans
+/// every net's sink list for the worst. The pass must edit exactly as this
+/// does and report the same stats.
+fn reference_buffer_trees(
+    design: &mut MappedDesign,
+    lib: &Library,
+    max_fanout: usize,
+) -> PassStats {
+    let mut stats = PassStats::default();
     let Some(buf) = lib.variant_id("BUF", true) else {
-        return;
+        return stats;
     };
     let mut sinks = design.sink_map();
     loop {
@@ -155,27 +165,95 @@ fn reference_buffer_trees(design: &mut MappedDesign, lib: &Library, max_fanout: 
             break;
         };
         let net_sinks = std::mem::take(&mut sinks[net]);
-        let path = design.netlist.gates[net_sinks[0].0].path.clone();
+        let path = design.netlist.gates[net_sinks[0].0].path;
         for group in net_sinks.chunks(max_fanout) {
-            let name =
-                format!("{}$buf{}", design.netlist.nets[net].name, design.netlist.nets.len());
+            let name = format!("{}$buf{}", &design.netlist.nets[net], design.netlist.nets.len());
             let new_net = design.netlist.add_net(name);
             let gate = Gate {
                 kind: GateKind::Buf,
                 inputs: InputList::from_slice(&[net as u32]),
                 output: new_net,
-                path: path.clone(),
+                path,
                 reset_value: false,
                 async_reset: None,
                 enable: None,
                 dont_touch: true,
             };
             let buf_gi = design.push_gate(gate, buf);
+            stats.added += 1;
             for &(gi, pin) in group {
                 design.netlist.gates[gi].inputs[pin] = new_net;
             }
             sinks.push(group.to_vec());
             sinks[net].push((buf_gi, 0));
+        }
+    }
+    stats
+}
+
+/// Primary inputs whose sink pins number `fanouts`, with the pins of
+/// different nets interleaved across two-input gates (a gate may read one
+/// net on both pins) and, unless `kill_every` is 0, every `kill_every`-th
+/// gate tombstoned, so dead pins interleave too.
+fn fanout_design(lib: &Library, fanouts: &[usize], kill_every: usize, seed: u64) -> MappedDesign {
+    let mut nl = Netlist::new("fan");
+    let nets: Vec<u32> = (0..fanouts.len())
+        .map(|i| {
+            let n = nl.add_net(format!("in{i}"));
+            nl.inputs.push((format!("in{i}"), n));
+            n
+        })
+        .collect();
+    let mut claims: Vec<u32> =
+        fanouts.iter().enumerate().flat_map(|(i, &f)| std::iter::repeat_n(nets[i], f)).collect();
+    let mut rng = seed | 1;
+    for k in (1..claims.len()).rev() {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        claims.swap(k, (rng % (k as u64 + 1)) as usize);
+    }
+    for (g, pair) in claims.chunks(2).enumerate() {
+        let out = nl.add_net(format!("g{g}"));
+        let path = if g % 2 == 0 { "fan" } else { "fan/u_sub" };
+        match *pair {
+            [a, b] => nl.add_gate(GateKind::And, &[a, b], out, path),
+            [a] => nl.add_gate(GateKind::Not, &[a], out, path),
+            _ => unreachable!("chunks of two"),
+        };
+        nl.outputs.push((format!("g{g}"), out));
+    }
+    let mut design = MappedDesign::map(nl, lib).expect("maps");
+    for gi in 0..design.netlist.gates.len() {
+        if kill_every > 0 && gi % kill_every == kill_every - 1 {
+            design.kill(gi);
+        }
+    }
+    design
+}
+
+/// Runs the heap-ordered pass and the scan-based reference on copies of
+/// `design` and checks they leave the same design and report the same
+/// stats.
+fn assert_split_matches_reference(design: &MappedDesign, lib: &Library, limit: usize, what: &str) {
+    let (mut pass, mut reference) = (design.clone(), design.clone());
+    let stats = buffer_high_fanout(&mut pass, lib, limit);
+    let expected = reference_buffer_trees(&mut reference, lib, limit);
+    assert_eq!(stats, expected, "{what} at limit {limit}: stats");
+    assert!(pass == reference, "{what} at limit {limit}: the split differs from the scan");
+}
+
+#[test]
+fn buffer_split_matches_the_scan_on_every_catalog_design() {
+    let lib = nangate45();
+    let catalog =
+        chatls_designs::benchmarks().into_iter().chain(chatls_designs::database_designs());
+    for design in catalog {
+        let mut mapped = MappedDesign::map(design.netlist(), &lib).expect("maps");
+        // With the tombstones a sweep leaves.
+        chatls_synth::passes::sweep(&mut mapped);
+        for limit in [2, 3, 12] {
+            assert_split_matches_reference(&mapped, &lib, limit, &design.name);
         }
     }
 }
@@ -215,17 +293,17 @@ fn run_body(edits: &mut impl Edits, lib: &Library, steps: &[(u64, u8)]) {
                 };
                 let q = design.netlist.gates[reg].output;
                 let comb_inputs = design.netlist.gates[comb].inputs;
-                let path = design.netlist.gates[reg].path.clone();
+                let path = design.netlist.gates[reg].path;
                 let mut new_inputs = InputList::default();
                 for (k, &inp) in comb_inputs.iter().enumerate() {
                     let nets = &edits.design().netlist.nets;
-                    let name = format!("{}$ret{}_{k}", nets[q as usize].name, nets.len());
+                    let name = format!("{}$ret{}_{k}", &nets[q as usize], nets.len());
                     let nq = edits.add_net(name);
                     let gate = Gate {
                         kind: GateKind::Dff,
                         inputs: InputList::from_slice(&[inp]),
                         output: nq,
-                        path: path.clone(),
+                        path,
                         reset_value: false,
                         async_reset: None,
                         enable: None,
@@ -351,5 +429,21 @@ proptest! {
         resize(&mut view, &lib, after);
         let design = view.design().clone();
         prop_assert_eq!(&served(&mut view), &fresh(&design, &lib, &c), "after a later resize");
+    }
+
+    #[test]
+    fn buffer_split_matches_the_scan_on_ties_and_resplits(
+        fanouts in proptest::collection::vec(1usize..40, 1..6),
+        limit in 2usize..6,
+        kill_every in 0usize..7,
+        seed in any::<u64>(),
+    ) {
+        let lib = nangate45();
+        // Every fanout twice, so the worst nets tie; one net above the
+        // cube of the limit, so it splits three times.
+        let mut fanouts = [fanouts.clone(), fanouts].concat();
+        fanouts.push(limit.pow(3) + 1 + (seed % 7) as usize);
+        let design = fanout_design(&lib, &fanouts, kill_every, seed);
+        assert_split_matches_reference(&design, &lib, limit, "fanout design");
     }
 }

@@ -1351,8 +1351,8 @@ mod tests {
             endmodule",
             "top",
         );
-        assert!(nl.gates.iter().any(|g| g.path == "top/fa0"));
-        assert!(nl.gates.iter().any(|g| g.path == "top/fa1"));
+        assert!(nl.gates.iter().any(|g| nl.path(g.path) == "top/fa0"));
+        assert!(nl.gates.iter().any(|g| nl.path(g.path) == "top/fa1"));
         for x in 0..4u64 {
             for y in 0..4u64 {
                 let mut sim = Simulator::new(&nl);

@@ -2,10 +2,18 @@
 //! simulated synthesis tool.
 //!
 //! A [`Netlist`] is a flat sea of two-input gates, inverters, 2:1 muxes and
-//! D flip-flops connected by single-bit [`Net`]s. Every gate records the
+//! D flip-flops connected by single-bit nets. Every gate records the
 //! hierarchical instance path it was lowered from, which the synthesis tool
 //! uses for per-module reporting and which CircuitMentor uses to tie timing
 //! paths back to source modules.
+//!
+//! Names live in per-netlist tables, not in the records that use them: net
+//! names in one flat [`NetNames`] buffer, module paths in
+//! [`Netlist::paths`], which each [`Gate`] indexes by [`PathId`]. A gate is
+//! therefore a plain `Copy` record, and copying or dropping a netlist is a
+//! handful of buffer copies or frees whatever its size. The serde form is
+//! the per-record one all the same: nets as `{"name": …}` objects, gates
+//! with their path strings.
 //!
 //! The module also contains a small event-free functional simulator
 //! ([`Netlist::eval_comb`] / [`Simulator`]) used by tests to prove that
@@ -97,12 +105,76 @@ impl fmt::Display for GateKind {
     }
 }
 
-/// A single-bit net.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Net {
-    /// Debug name (`"top/u_alu/sum[3]"`).
-    pub name: String,
+/// The names of a netlist's nets (`"top/u_alu/sum[3]"`), stored flat: one
+/// text buffer plus where each name ends, so a netlist's names are two
+/// heap blocks however many nets it has. `names[id]` is net `id`'s name.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NetNames {
+    text: String,
+    /// Name `k` ends at `ends[k]` and starts where name `k - 1` ends.
+    ends: Vec<u32>,
 }
+
+impl NetNames {
+    /// Number of names.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there are no names.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Name `id`, or `None` past the end.
+    pub fn get(&self, id: usize) -> Option<&str> {
+        let end = *self.ends.get(id)? as usize;
+        Some(&self.text[self.start(id)..end])
+    }
+
+    /// Appends a name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the names would exceed 4 GiB of text.
+    pub fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(u32::try_from(self.text.len()).expect("net names exceed 4 GiB"));
+    }
+
+    /// Keeps the first `len` names.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.text.truncate(self.start(len));
+            self.ends.truncate(len);
+        }
+    }
+
+    /// The names in id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.len()).map(|id| &self[id])
+    }
+
+    /// Where name `id` starts in the text.
+    fn start(&self, id: usize) -> usize {
+        if id == 0 {
+            0
+        } else {
+            self.ends[id - 1] as usize
+        }
+    }
+}
+
+impl std::ops::Index<usize> for NetNames {
+    type Output = str;
+    fn index(&self, id: usize) -> &str {
+        self.get(id).unwrap_or_else(|| panic!("net {id} out of range of {} names", self.len()))
+    }
+}
+
+/// Index of a module path in [`Netlist::paths`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathId(pub u32);
 
 /// Maximum number of data inputs any [`GateKind`] takes ([`GateKind::Mux`]'s
 /// select + two data nets); [`InputList`] keeps one spare slot of headroom.
@@ -111,10 +183,9 @@ pub const MAX_GATE_ARITY: usize = 3;
 /// A gate's input nets, stored inline in the [`Gate`].
 ///
 /// Gate arity is structurally bounded by [`MAX_GATE_ARITY`], so the list
-/// never needs a heap block. That makes `Gate` a flat `Copy`-able-sized
-/// record apart from its path string: cloning a netlist (the session-stamp
-/// path runs one per `run_script`) copies gates without one allocator
-/// round-trip per gate. Serializes exactly like a `Vec<NetId>`.
+/// never needs a heap block. That keeps [`Gate`] a flat `Copy` record:
+/// cloning a netlist (a stamped session's first edit runs one) copies its
+/// gates as one block. Serializes exactly like a `Vec<NetId>`.
 ///
 /// Dereferences to `[NetId]`, so indexing, iteration and slice methods work
 /// unchanged; `push` panics if the fixed capacity would overflow.
@@ -238,7 +309,10 @@ impl Deserialize for InputList {
 }
 
 /// A gate instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Its module path is an id into its netlist's [`Netlist::paths`], so two
+/// gates compare equal only within one netlist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gate {
     /// Gate kind.
     pub kind: GateKind,
@@ -247,8 +321,9 @@ pub struct Gate {
     /// Output net.
     pub output: NetId,
     /// Hierarchical instance path of the module this gate was lowered from
-    /// (`"top/u_core/u_alu"`); `"top"` for gates in the root module.
-    pub path: String,
+    /// (`"top/u_core/u_alu"`; `"top"` for gates in the root module), as an
+    /// index into [`Netlist::paths`] ([`Netlist::path`] reads it).
+    pub path: PathId,
     /// For [`GateKind::Dff`]: value the register takes under reset.
     pub reset_value: bool,
     /// For [`GateKind::Dff`]: asynchronous reset net, if any.
@@ -275,14 +350,20 @@ pub struct NetlistIssue {
 }
 
 /// A flattened gate-level netlist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+///
+/// Equality compares gates by their path strings, not their [`PathId`]s,
+/// so it does not depend on the order of [`Netlist::paths`] (a netlist
+/// read back from JSON lists only the paths its gates use).
+#[derive(Debug, Clone, Default)]
 pub struct Netlist {
     /// Top module name.
     pub name: String,
-    /// All nets.
-    pub nets: Vec<Net>,
+    /// All net names, indexed by [`NetId`].
+    pub nets: NetNames,
     /// All gates.
     pub gates: Vec<Gate>,
+    /// Module paths, each listed once; [`Gate::path`] indexes them.
+    pub paths: Vec<String>,
     /// Primary input nets with port bit names (`clk` and resets included).
     pub inputs: Vec<(String, NetId)>,
     /// Primary output nets with port bit names.
@@ -298,10 +379,30 @@ impl Netlist {
     }
 
     /// Adds a net and returns its id.
-    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
+    pub fn add_net(&mut self, name: impl AsRef<str>) -> NetId {
         let id = self.nets.len() as NetId;
-        self.nets.push(Net { name: name.into() });
+        self.nets.push(name.as_ref());
         id
+    }
+
+    /// The id of module path `path` in [`Netlist::paths`], appending it
+    /// if it is new.
+    pub fn intern_path(&mut self, path: &str) -> PathId {
+        // Lowering adds a module's gates in a run, so the newest paths are
+        // the likeliest matches.
+        let id = match self.paths.iter().rposition(|p| p == path) {
+            Some(id) => id,
+            None => {
+                self.paths.push(path.to_string());
+                self.paths.len() - 1
+            }
+        };
+        PathId(id as u32)
+    }
+
+    /// The module path `id` names.
+    pub fn path(&self, id: PathId) -> &str {
+        &self.paths[id.0 as usize]
     }
 
     /// Adds a combinational gate and returns the id of its output net.
@@ -320,11 +421,12 @@ impl Netlist {
         assert!(!kind.is_sequential(), "use add_dff for sequential gates");
         assert_eq!(inputs.len(), kind.arity(), "gate {kind} expects {} inputs", kind.arity());
         let id = self.gates.len() as GateId;
+        let path = self.intern_path(path);
         self.gates.push(Gate {
             kind,
             inputs: InputList::from_slice(inputs),
             output,
-            path: path.to_string(),
+            path,
             reset_value: false,
             async_reset: None,
             enable: None,
@@ -343,11 +445,12 @@ impl Netlist {
         async_reset: Option<NetId>,
     ) -> GateId {
         let id = self.gates.len() as GateId;
+        let path = self.intern_path(path);
         self.gates.push(Gate {
             kind: GateKind::Dff,
             inputs: InputList::from_slice(&[d]),
             output: q,
-            path: path.to_string(),
+            path,
             reset_value,
             async_reset,
             enable: None,
@@ -421,7 +524,7 @@ impl Netlist {
                 return Err(format!("gate {gi} output refers to missing net {}", g.output));
             }
             if driven[out] {
-                return Err(format!("net '{}' is multiply driven", self.nets[out].name));
+                return Err(format!("net '{}' is multiply driven", &self.nets[out]));
             }
             driven[out] = true;
         }
@@ -456,10 +559,7 @@ impl Netlist {
         let mut issues = Vec::new();
         let n = self.nets.len();
         let net_name = |id: NetId| -> String {
-            self.nets
-                .get(id as usize)
-                .map(|net| net.name.clone())
-                .unwrap_or_else(|| format!("<net {id}>"))
+            self.nets.get(id as usize).map_or_else(|| format!("<net {id}>"), str::to_string)
         };
 
         // NL005: dangling net references (checked first; they poison the
@@ -613,7 +713,7 @@ impl Netlist {
                 .enumerate()
                 .filter(|(i, g)| !g.kind.is_sequential() && indegree[*i] > 0)
                 .take(5)
-                .map(|(_, g)| self.nets[g.output as usize].name.as_str())
+                .map(|(_, g)| &self.nets[g.output as usize])
                 .collect();
             return Err(format!("combinational cycle through nets: {}", stuck.join(", ")));
         }
@@ -667,6 +767,93 @@ impl Netlist {
             values[g.output as usize] = v;
         }
         Ok(values)
+    }
+}
+
+impl PartialEq for Netlist {
+    fn eq(&self, other: &Self) -> bool {
+        let same_gate = |a: &Gate, b: &Gate| {
+            Gate { path: b.path, ..*a } == *b && self.path(a.path) == other.path(b.path)
+        };
+        self.name == other.name
+            && self.nets == other.nets
+            && self.gates.len() == other.gates.len()
+            && self.gates.iter().zip(&other.gates).all(|(a, b)| same_gate(a, b))
+            && self.inputs == other.inputs
+            && self.outputs == other.outputs
+            && self.clock == other.clock
+    }
+}
+
+/// Field `name` of the serialized record `ty`, with the record and field
+/// named in any error.
+fn field<T: Deserialize>(v: &serde::Value, ty: &str, name: &str) -> Result<T, serde::DeError> {
+    T::deserialize(&v[name]).map_err(|e| serde::DeError::msg(format!("{ty}.{name}: {e}")))
+}
+
+/// A serialized record with `fields` in the given order.
+fn record(fields: Vec<(&str, serde::Value)>) -> serde::Value {
+    serde::Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+impl Serialize for Netlist {
+    fn serialize(&self) -> serde::Value {
+        let nets = self.nets.iter().map(|name| record(vec![("name", name.serialize())]));
+        let gates = self.gates.iter().map(|g| {
+            record(vec![
+                ("kind", g.kind.serialize()),
+                ("inputs", g.inputs.serialize()),
+                ("output", g.output.serialize()),
+                ("path", self.path(g.path).serialize()),
+                ("reset_value", g.reset_value.serialize()),
+                ("async_reset", g.async_reset.serialize()),
+                ("enable", g.enable.serialize()),
+                ("dont_touch", g.dont_touch.serialize()),
+            ])
+        });
+        record(vec![
+            ("name", self.name.serialize()),
+            ("nets", serde::Value::Seq(nets.collect())),
+            ("gates", serde::Value::Seq(gates.collect())),
+            ("inputs", self.inputs.serialize()),
+            ("outputs", self.outputs.serialize()),
+            ("clock", self.clock.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for Netlist {
+    /// Reads the form [`Serialize`] writes; [`Netlist::paths`] comes back
+    /// as the gates' paths in order of first use.
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let records = |name: &str| -> Result<&[serde::Value], serde::DeError> {
+            let list = &v[name];
+            let expected = || serde::DeError::expected("array", list);
+            let err = || serde::DeError::msg(format!("Netlist.{name}: {}", expected()));
+            list.as_array().map(Vec::as_slice).ok_or_else(err)
+        };
+        let mut nl = Netlist::new(field::<String>(v, "Netlist", "name")?);
+        for net in records("nets")? {
+            nl.nets.push(&field::<String>(net, "Netlist.nets: Net", "name")?);
+        }
+        for g in records("gates")? {
+            const GATE: &str = "Netlist.gates: Gate";
+            let gate = Gate {
+                kind: field(g, GATE, "kind")?,
+                inputs: field(g, GATE, "inputs")?,
+                output: field(g, GATE, "output")?,
+                path: nl.intern_path(&field::<String>(g, GATE, "path")?),
+                reset_value: field(g, GATE, "reset_value")?,
+                async_reset: field(g, GATE, "async_reset")?,
+                enable: field(g, GATE, "enable")?,
+                dont_touch: field(g, GATE, "dont_touch")?,
+            };
+            nl.gates.push(gate);
+        }
+        nl.inputs = field(v, "Netlist", "inputs")?;
+        nl.outputs = field(v, "Netlist", "outputs")?;
+        nl.clock = field(v, "Netlist", "clock")?;
+        Ok(nl)
     }
 }
 
@@ -975,11 +1162,12 @@ mod tests {
         let mut nl = Netlist::new("bad");
         let y = nl.add_net("y");
         nl.outputs.push(("y".into(), y));
+        let path = nl.intern_path("bad");
         nl.gates.push(Gate {
             kind: GateKind::Buf,
             inputs: InputList::from_slice(&[99]),
             output: y,
-            path: "bad".into(),
+            path,
             reset_value: false,
             async_reset: None,
             enable: None,
