@@ -49,15 +49,22 @@ fn bench_run_script(c: &mut Criterion) {
 
     // Warm path: build the template once, stamp cheap sessions per run —
     // the `pass_at_k` / database-build regime after the SessionTemplate
-    // split.
+    // split. Each run stamps from a fresh scope, so it is the run that
+    // fills the scope's cleanup memo: it cleans the pristine design.
     let template = session_template(&design);
     c.bench_function("synth/run_script_aes_from_template", |b| {
-        b.iter(|| run_script_in(black_box(&template), black_box(SCRIPT)))
+        b.iter(|| run_script_in(&black_box(&template).scoped(), black_box(SCRIPT)))
+    });
+    // A later run in the same scope adopts the cleaned design instead.
+    let filled = template.scoped();
+    run_script_in(&filled, SCRIPT);
+    c.bench_function("synth/run_script_aes_memo_hit", |b| {
+        b.iter(|| run_script_in(black_box(&filled), black_box(SCRIPT)))
     });
 
     let fft = session_template(&chatls_designs::by_name("fft").expect("catalog design"));
     c.bench_function("synth/run_script_fft_retime_from_template", |b| {
-        b.iter(|| run_script_in(black_box(&fft), black_box(RETIME_SCRIPT)))
+        b.iter(|| run_script_in(&black_box(&fft).scoped(), black_box(RETIME_SCRIPT)))
     });
 }
 
@@ -500,11 +507,14 @@ fn assert_full_sta_fast() {
 
 /// CI guard: warm-path execution of `script` on `design` from a prebuilt
 /// template — the `pass_at_k` / serve regime — timed as the `row` bench.
-fn assert_run_script_fast(design: &str, script: &str, row: &str, budget_ns: u64) {
+/// A `memo_hit` run stamps from a scope whose cleanup memo is filled;
+/// otherwise each run stamps from a fresh scope and fills its memo.
+fn assert_run_script_fast(design: &str, script: &str, row: &str, budget_ns: u64, memo_hit: bool) {
     let template = session_template(&chatls_designs::by_name(design).expect("catalog design"));
     assert!(run_script_in(&template, script).1, "the timed script must run to its end");
     assert_under_budget(row, budget_ns, 5, || {
-        black_box(run_script_in(&template, black_box(script)));
+        let scope = if memo_hit { template.clone() } else { template.scoped() };
+        black_box(run_script_in(&scope, black_box(script)));
     });
 }
 
@@ -530,13 +540,20 @@ fn main() {
     // Best run about 3.0 ms (min of 150 runs on a shared 2-core box);
     // 9 ms, 3x the best, fails only an algorithmic regression (per-gate
     // heap allocation creeping back in, a pass going quadratic).
-    assert_run_script_fast("aes", SCRIPT, "synth/run_script_aes_from_template", 9_000_000);
+    let row = "synth/run_script_aes_from_template";
+    assert_run_script_fast("aes", SCRIPT, row, 9_000_000, false);
+    // The same script adopting a filled cleanup memo: best run about
+    // 1.25 ms against 3.0 ms for the run that fills it (min of 150 runs
+    // each, same box); 2.5 ms, 2x the best, fails a memo that stops being
+    // adopted as well as an algorithmic regression.
+    let row = "synth/run_script_aes_memo_hit";
+    assert_run_script_fast("aes", SCRIPT, row, 2_500_000, true);
     // The trial path: eight QoR-gated trial edits, one rolled back. Its
     // best run measured 13-17 ms (min of 40 runs on the same box); 35 ms
     // fails an algorithmic regression, and the speed probe stretches it
     // when the box itself runs slow.
     let row = "synth/run_script_fft_retime_from_template";
-    assert_run_script_fast("fft", RETIME_SCRIPT, row, 35_000_000);
+    assert_run_script_fast("fft", RETIME_SCRIPT, row, 35_000_000, false);
 
     let mut criterion = Criterion::default().sample_size(20);
     // Pure-compute kernels first: the synthesis benches leave the

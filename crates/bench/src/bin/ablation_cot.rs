@@ -66,7 +66,7 @@ impl Generator for CotOnly<'_> {
 fn main() {
     header("Ablation: one_shot vs rag_only vs cot_only vs full ChatLS (Pass@3)");
     println!("building expert database…");
-    let db = chatls_bench::shared_full_db();
+    let db = ExpertDatabase::build(&chatls_bench::full_db_config());
     let profile = OneShotProfile::gpt_like();
     let one_shot = OneShot::new(profile.clone());
     let rag_only = RagOnly { db: &db, drafter: OneShot::new(profile.clone()) };

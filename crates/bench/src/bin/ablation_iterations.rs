@@ -23,7 +23,7 @@ struct Output {
 fn main() {
     header("Extension: iterative resynthesis on the hard designs");
     println!("building expert database…");
-    let db = chatls_bench::shared_full_db();
+    let db = chatls::ExpertDatabase::build(&chatls_bench::full_db_config());
     let chatls = ChatLs::new(&db);
 
     // The two hard designs iterate independently: run both on the pool,

@@ -21,7 +21,7 @@ struct Point {
 fn main() {
     header("Ablation: Eq. 5 rerank weights over the Fig. 5 workload");
     println!("building expert database…");
-    let db = chatls_bench::shared_full_db();
+    let db = chatls::ExpertDatabase::build(&chatls_bench::full_db_config());
     let configs = chatls_designs::soc_configs(12, 2024);
     // Embedding the SoCs is the heavy part of this ablation; the α/β
     // sweep itself is index math. Fan the embeddings out on the pool.

@@ -31,7 +31,7 @@ struct Output {
 fn main() {
     header("Fig. 5: SynthRAG retrieval F1 over Chipyard-style SoC configs");
     println!("building expert database (full config)…");
-    let db = chatls_bench::shared_full_db();
+    let db = chatls::ExpertDatabase::build(&chatls_bench::full_db_config());
     let rag = SynthRag::new(&db);
     let configs = chatls_designs::soc_configs(12, 2024);
 

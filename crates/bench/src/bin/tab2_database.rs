@@ -23,7 +23,7 @@ struct Entry {
 fn main() {
     header("Table II: the expert database");
     println!("building (all strategies)…");
-    let db = chatls_bench::shared_full_db();
+    let db = chatls::ExpertDatabase::build(&chatls_bench::full_db_config());
 
     let mut by_cat: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for e in db.entries() {

@@ -27,7 +27,7 @@ struct Output {
 fn main() {
     header("Table III: Pass@5 comparison (GPT-4o sim / Claude 3.5 sim / ChatLS)");
     println!("building expert database (all strategies, full training)…");
-    let db = chatls_bench::shared_full_db();
+    let db = chatls::ExpertDatabase::build(&chatls_bench::full_db_config());
     let chatls = ChatLs::new(&db);
     let gpt = gpt_like();
     let claude = claude_like();

@@ -44,32 +44,11 @@ pub fn qor_header() -> String {
 }
 
 /// The full database configuration used by the experiments (all strategies,
-/// full GNN training).
+/// full GNN training). The build is deterministic and takes a few seconds,
+/// so each experiment builds its own database in-process rather than
+/// loading one a different build may have written.
 pub fn full_db_config() -> chatls::DbConfig {
     chatls::DbConfig::default()
-}
-
-/// Loads the shared full expert database from the experiments cache, or
-/// builds and caches it. The build explores every strategy on every
-/// Table II design with the synthesis tool (minutes); experiments after the
-/// first reuse the cache, so a sweep builds it exactly once.
-pub fn shared_full_db() -> chatls::ExpertDatabase {
-    let path = experiments_dir().join("chatls_db_full.json");
-    if path.exists() {
-        match chatls::ExpertDatabase::load(&path) {
-            Ok(db) => {
-                eprintln!("loaded cached expert database from {}", path.display());
-                return db;
-            }
-            Err(e) => eprintln!("cache at {} unreadable ({e}); rebuilding", path.display()),
-        }
-    }
-    eprintln!("building the full expert database (cached for later experiments)…");
-    let db = chatls::ExpertDatabase::build(&full_db_config());
-    if let Err(e) = db.save(&path) {
-        eprintln!("could not cache the database: {e}");
-    }
-    db
 }
 
 /// Terminal telemetry sink for the experiment binaries: flushes the global

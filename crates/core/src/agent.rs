@@ -38,7 +38,7 @@ use chatls_designs::GeneratedDesign;
 use chatls_exec::{CancelToken, Cancelled};
 use chatls_mcp::{ToolBackend, ToolError, ToolOutput};
 use chatls_serve::{json_escape, EventSink, Request, Response, SseWriter, TurnError};
-use chatls_synth::{CommandObserver, QorReport, TimingGraph};
+use chatls_synth::{CommandObserver, QorReport, SessionTemplate, TimingGraph};
 use serde::{Serialize, Value};
 
 use crate::eval::{design_fingerprint, run_carried, QorCache};
@@ -78,10 +78,13 @@ struct TurnState {
 /// The [`Arc<PreparedDesign>`] pin is the warm-turn guarantee: however
 /// the session pool churns between turns, this session's template stays
 /// alive and mapped, so turn 2+ never triggers a template rebuild
-/// (`PoolStats::builds` stays flat).
+/// (`PoolStats::builds` stays flat). The session synthesizes through its
+/// own scoped copy of that template, so the turn-1 baseline and every
+/// turn's run share one cleanup memo, dropped with the session.
 pub struct AgentSession {
     design: GeneratedDesign,
     prepared: Arc<PreparedDesign>,
+    template: SessionTemplate,
     turns: Mutex<TurnState>,
 }
 
@@ -89,7 +92,8 @@ impl AgentSession {
     /// A fresh session over `design`, pinned to its pooled `prepared`
     /// state.
     pub fn new(design: GeneratedDesign, prepared: Arc<PreparedDesign>) -> Self {
-        Self { design, prepared, turns: Mutex::new(TurnState::default()) }
+        let template = prepared.scoped_template();
+        Self { design, prepared, template, turns: Mutex::new(TurnState::default()) }
     }
 
     /// The design this session customizes.
@@ -125,7 +129,7 @@ impl AgentSession {
             chatls_obs::counter("serve.session.sta_carryover").inc();
         }
         let (qor, ok, mut session) =
-            run_carried(self.prepared.template(), script, carried, cancel, Some(observer))?;
+            run_carried(&self.template, script, carried, cancel, Some(observer))?;
         let next = TimingSummary::from_run(&qor, &session.timing_report());
         self.turns.lock().expect("agent session poisoned").graph =
             Some(session.detach_timing_graph());
@@ -352,7 +356,8 @@ impl ChatLsService {
                 task
             }
             None => {
-                match self.task_for(&session.design, &session.prepared, &request, &turn_cancel) {
+                let (design, prepared) = (&session.design, &session.prepared);
+                match self.task_for(design, prepared, &session.template, &request, &turn_cancel) {
                     Ok(task) => task,
                     Err(Cancelled) => {
                         emitter.error(
@@ -953,6 +958,44 @@ mod tests {
                 "turn {turn} QoR differs from iterate round {turn}"
             );
         }
+    }
+
+    /// A pooled template never keeps a cleaned design: an eval batch and an
+    /// agent session each fill a memo of their own scope, which dies with
+    /// them, so the pool holds one design copy per entry.
+    #[test]
+    fn pooled_templates_never_fill_a_cleanup_memo() {
+        let svc = service();
+        let design_body = inline_body("memo_scope_probe");
+        let body = serde_json::parse_value(&design_body).unwrap();
+        let design = ChatLsService::resolve_design(&body).unwrap();
+        let scripts: Vec<String> = ["compile", "compile -map_effort high", "compile\\ncompile"]
+            .iter()
+            .map(|o| format!("\"create_clock -period 1.0 [get_ports clk]\\n{o}\\n\""))
+            .collect();
+        let eval_body = format!(
+            "{}, \"scripts\": [{}]}}",
+            design_body.trim_end_matches('}'),
+            scripts.join(", ")
+        );
+        let eval = svc.handle(&post("/v1/eval", &eval_body), &never());
+        assert_eq!(eval.status, 200, "{}", String::from_utf8_lossy(&eval.body));
+        let (prepared, hit) = svc.prepared(&design, &never()).unwrap();
+        assert!(hit, "the batch pooled the design");
+        assert!(!prepared.pooled_memo_filled(), "an eval batch filled the pooled memo");
+
+        let create = svc.handle(&post("/v1/session", &design_body), &never());
+        assert_eq!(create.status, 201, "{}", String::from_utf8_lossy(&create.body));
+        let id = parse(&create.body).get("session").and_then(|s| s.as_str()).unwrap().to_string();
+        let status = svc.run_turn(&id, "{\"seed\": 0}", &mut BufferSink::new(), &never());
+        assert_eq!(status.expect("turn"), 200);
+        let session = svc.sessions().begin_turn(&id).expect("live session");
+        assert!(session.template.cleanup_memoized(), "the turn's compiles used the session's memo");
+        drop(session);
+        svc.sessions().end_turn(&id);
+        let close = svc.handle(&post(&format!("/v1/session/{id}/close"), ""), &never());
+        assert_eq!(close.status, 200);
+        assert!(!prepared.pooled_memo_filled(), "a session filled the pooled memo");
     }
 
     /// Satellite: a synthesis run cancelled mid-script is never memoized

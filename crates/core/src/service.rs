@@ -100,6 +100,12 @@ impl TaskCache {
 /// A design's warm serving state: the mapped template, the stage-1
 /// design embedding, and the baseline task context per distinct user
 /// request string.
+///
+/// The pooled template never fills its cleanup memo: each eval batch,
+/// customize request and agent session synthesizes through its own
+/// [`PreparedDesign::scoped_template`], whose memo (one cleaned copy of the
+/// design) lives exactly as long as that scope. A memo left on every
+/// pooled template would hold one more design copy per pool entry.
 pub struct PreparedDesign {
     template: SessionTemplate,
     /// Stage 1's result ([`crate::pipeline::embed_design`]), filled by
@@ -112,10 +118,16 @@ pub struct PreparedDesign {
 }
 
 impl PreparedDesign {
-    /// The mapped session template (streaming sessions stamp their
-    /// per-turn synthesis sessions from it).
-    pub(crate) fn template(&self) -> &SessionTemplate {
-        &self.template
+    /// The mapped session template with a fresh cleanup memo
+    /// ([`SessionTemplate::scoped`]), for one request or agent session.
+    pub(crate) fn scoped_template(&self) -> SessionTemplate {
+        self.template.scoped()
+    }
+
+    /// Whether the pooled template's own cleanup memo was ever filled.
+    #[cfg(test)]
+    pub(crate) fn pooled_memo_filled(&self) -> bool {
+        self.template.cleanup_memoized()
     }
 
     /// The stage-1 memo to hand to [`ChatLs::try_customize`].
@@ -390,18 +402,20 @@ impl ChatLsService {
     }
 
     /// The task context for (`design`, `request`), from the per-design
-    /// cache or prepared fresh (one baseline synthesis run).
+    /// cache or prepared fresh (one baseline synthesis run on `scope`, a
+    /// [`PreparedDesign::scoped_template`] of `prepared`).
     pub(crate) fn task_for(
         &self,
         design: &GeneratedDesign,
         prepared: &PreparedDesign,
+        scope: &SessionTemplate,
         request: &str,
         cancel: &CancelToken,
     ) -> Result<TaskContext, Cancelled> {
         if let Some(task) = prepared.tasks.lock().unwrap().get(request) {
             return Ok(task);
         }
-        let task = prepare_task_in(design, request, &prepared.template, cancel)?;
+        let task = prepare_task_in(design, request, scope, cancel)?;
         prepared.tasks.lock().unwrap().insert(request, task.clone());
         Ok(task)
     }
@@ -420,10 +434,12 @@ impl ChatLsService {
         let request =
             body.get("request").and_then(|v| v.as_str()).unwrap_or(DEFAULT_REQUEST).to_string();
         let (prepared, pool_hit) = self.prepared(&design, cancel)?;
+        // The baseline and the final run share one cleanup memo.
+        let scope = prepared.scoped_template();
         let deadline_resp =
             |what: &str| Response::gateway_timeout(&format!("deadline exceeded during {what}"));
         let task = self
-            .task_for(&design, &prepared, &request, cancel)
+            .task_for(&design, &prepared, &scope, &request, cancel)
             .map_err(|Cancelled| deadline_resp("baseline synthesis"))?;
         let outcome = ChatLs::new(&self.db)
             .try_customize(&design, prepared.embedding(), &task, seed, cancel, &mut |_| {})
@@ -431,7 +447,7 @@ impl ChatLsService {
         let fp = design_fingerprint(&design);
         let (qor, _ok) = QorCache::global()
             .get_or_run_cancellable(fp, outcome.script(), || {
-                run_carried(&prepared.template, outcome.script(), None, cancel, None)
+                run_carried(&scope, outcome.script(), None, cancel, None)
                     .map(|(qor, ok, _)| (qor, ok))
             })
             .map_err(|Cancelled| deadline_resp("final synthesis"))?;
@@ -529,8 +545,10 @@ impl ChatLsService {
         let fp = design_fingerprint(&design);
         // Batch: fan the scripts out on the global pool; each evaluation
         // is memoized in the global QorCache. Index-ordered results keep
-        // the response aligned with the request array.
-        let template = &prepared.template;
+        // the response aligned with the request array. The batch's runs
+        // share one cleanup memo: the first compile fills it, the rest
+        // adopt it.
+        let template = &prepared.scoped_template();
         let runs = ExecPool::global().run_cancellable(cancel, scripts.len(), |i| {
             QorCache::global().get_or_run_cancellable(fp, &scripts[i], || {
                 run_carried(template, &scripts[i], None, cancel, None).map(|(qor, ok, _)| (qor, ok))
@@ -851,9 +869,10 @@ mod tests {
         .unwrap();
         let design = ChatLsService::resolve_design(&body).unwrap();
         let (prepared, _) = svc.prepared(&design, &CancelToken::never()).unwrap();
+        let scope = prepared.scoped_template();
         for i in 0..TASK_CACHE_CAP + 5 {
             let req = format!("request variant {i}");
-            svc.task_for(&design, &prepared, &req, &CancelToken::never()).unwrap();
+            svc.task_for(&design, &prepared, &scope, &req, &CancelToken::never()).unwrap();
         }
         let guard = prepared.tasks.lock().unwrap();
         let len = guard.entries.len();

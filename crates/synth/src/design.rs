@@ -189,13 +189,31 @@ impl MappedDesign {
     }
 
     /// Live sink pins per net: the length of each [`Self::sink_map`] list,
-    /// without building the lists.
+    /// without building the lists. Data pins only, as buffering moves only
+    /// data pins; a check that a net has a single reader uses
+    /// [`Self::reader_counts`].
     pub fn fanout_counts(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.netlist.nets.len()];
         for (i, g) in self.netlist.gates.iter().enumerate() {
             if !self.dead[i] {
                 for &inp in &g.inputs {
                     counts[inp as usize] += 1;
+                }
+            }
+        }
+        counts
+    }
+
+    /// Live reader pins per net: data pins plus register `enable` and
+    /// `async_reset` pins. A pass that deletes or moves a net's driver
+    /// because one gate reads it checks this count, so a register that
+    /// gates on the net keeps its driver.
+    pub fn reader_counts(&self) -> Vec<u32> {
+        let mut counts = self.fanout_counts();
+        for (i, g) in self.netlist.gates.iter().enumerate() {
+            if !self.dead[i] {
+                for net in g.enable.into_iter().chain(g.async_reset) {
+                    counts[net as usize] += 1;
                 }
             }
         }

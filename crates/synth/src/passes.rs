@@ -2,7 +2,10 @@
 //! commands (`compile`, `compile_ultra`, `optimize_registers`,
 //! `balance_buffers`, `insert_clock_gating`, `ungroup`).
 //!
-//! Every pass preserves functionality; the crate's tests prove it by
+//! Every pass preserves functionality, register `enable` and `async_reset`
+//! pins included: a pass that deletes or moves a net's driver because one
+//! gate reads the net counts those pins as readers, and a pass that rewires
+//! a net's readers moves them too. The crate's tests prove it by
 //! simulating random stimulus before and after each pass.
 
 use crate::design::{EditJournal, FlatLists, MappedDesign, NO_CELL};
@@ -461,7 +464,8 @@ impl StrashGroups {
 ///
 /// Each merge removes a gate and a logic level — the classic win of mapping
 /// onto the inverting cells a CMOS library is built from. Only applies when
-/// the inner gate's output feeds exactly the inverter (fanout 1).
+/// the inverter is the inner gate's only reader, register `enable` and
+/// `async_reset` pins counted.
 pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassStats {
     let mut stats = PassStats::default();
     let cell_for = |kind: GateKind| -> Option<u32> {
@@ -469,13 +473,13 @@ pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassSta
     };
     loop {
         let mut changed = false;
-        // The driver map and fanout counts stay valid across the simple
-        // merges below (they only retire the inner gate and its single-sink
-        // net), but a NOT-NOT collapse rewires sinks; that case restarts
+        // The driver map and reader counts stay valid across the simple
+        // merges below (they only retire the inner gate and its single-reader
+        // net), but a NOT-NOT collapse rewires readers; that case restarts
         // the sweep so they are rebuilt.
         let mut restart = false;
         let driver = design.driver_map();
-        let fanout = design.fanout_counts();
+        let readers = design.reader_counts();
         let primary_outputs: Vec<u32> = design.netlist.outputs.iter().map(|(_, id)| *id).collect();
         for gi in 0..design.netlist.gates.len() {
             if restart {
@@ -498,7 +502,7 @@ pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassSta
             }
             let inner = &design.netlist.gates[inner_gi];
             if inner.dont_touch
-                || fanout[src_net as usize] != 1
+                || readers[src_net as usize] != 1
                 || primary_outputs.contains(&src_net)
             {
                 continue;
@@ -511,7 +515,7 @@ pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassSta
                 GateKind::Nand => GateKind::And,
                 GateKind::Nor => GateKind::Or,
                 GateKind::Xnor => GateKind::Xor,
-                // NOT(NOT(x)) — rewire sinks of the outer NOT to x.
+                // NOT(NOT(x)) — rewire readers of the outer NOT to x.
                 GateKind::Not => {
                     let x = inner_inputs[0];
                     if primary_outputs.contains(&out) {
@@ -522,10 +526,13 @@ pub fn absorb_inverters(design: &mut MappedDesign, library: &Library) -> PassSta
                             design.cells[gi] = c;
                         }
                     } else {
+                        // Every reader pin moves, enables and resets too,
+                        // as in `strash` and `sweep`.
                         for other in design.netlist.gates.iter_mut() {
-                            for inp in other.inputs.iter_mut() {
-                                if *inp == out {
-                                    *inp = x;
+                            let pins = other.inputs.iter_mut().chain(&mut other.enable);
+                            for pin in pins.chain(&mut other.async_reset) {
+                                if *pin == out {
+                                    *pin = x;
                                 }
                             }
                         }
@@ -790,9 +797,10 @@ pub(crate) fn not_slower(before: f64, after: f64) -> bool {
 /// the worst path backward across its driving gate when legal, repeatedly,
 /// as long as CPS improves.
 ///
-/// Legality: the driving gate's output must feed only this register bank,
-/// the gate's zero-input value must be 0 (reset-state preservation), and —
-/// unless `ungrouped` — the gate and register share a module path.
+/// Legality: the register's data pin must be the driving gate's only
+/// reader (no other data, `enable` or `async_reset` pin), the gate's
+/// zero-input value must be 0 (reset-state preservation), and — unless
+/// `ungrouped` — the gate and register share a module path.
 pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassStats {
     let mut stats = PassStats::default();
     let Some(dff_cell) = view.library().variant_id("DFF", false) else {
@@ -808,7 +816,7 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
         let slacks = view.slack_map();
         let design = view.design();
         let driver = design.driver_map();
-        let fanout = design.fanout_counts();
+        let readers = design.reader_counts();
         // Candidate: live DFF with the worst D-pin slack whose driver is a
         // legal comb gate.
         let mut candidate: Option<(usize, usize)> = None; // (dff, gate)
@@ -831,7 +839,7 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
                 drv_gate.kind,
                 GateKind::And | GateKind::Or | GateKind::Xor | GateKind::Buf | GateKind::Mux
             );
-            let exclusive = fanout[d_net as usize] == 1
+            let exclusive = readers[d_net as usize] == 1
                 && !design.netlist.outputs.iter().any(|(_, id)| *id == d_net);
             let same_module = ungrouped || drv_gate.path == gate.path;
             if legal_kind && exclusive && same_module {
@@ -894,7 +902,9 @@ pub fn retime(view: &mut TimingView, ungrouped: bool, max_moves: usize) -> PassS
 pub fn insert_clock_gating(design: &mut MappedDesign) -> PassStats {
     let mut stats = PassStats::default();
     let driver = design.driver_map();
-    let fanout = design.fanout_counts();
+    // A conversion moves the mux's reads onto the register and adds no
+    // reader to any net, so counts taken up front stay upper bounds.
+    let readers = design.reader_counts();
     for gi in 0..design.netlist.gates.len() {
         if design.is_dead(gi) {
             continue;
@@ -916,8 +926,8 @@ pub fn insert_clock_gating(design: &mut MappedDesign) -> PassStats {
         if mux.inputs[1] != gate.output {
             continue;
         }
-        // Mux must feed only this register.
-        if fanout[d_net as usize] != 1 || design.netlist.outputs.iter().any(|(_, id)| *id == d_net)
+        // Mux must feed only this register's data pin.
+        if readers[d_net as usize] != 1 || design.netlist.outputs.iter().any(|(_, id)| *id == d_net)
         {
             continue;
         }
@@ -1021,18 +1031,38 @@ pub enum Effort {
     High,
 }
 
-/// The main mapping-and-optimization pipeline behind `compile`.
+/// The cleanup every `compile` starts with: constant propagation, two
+/// rounds of structural hashing around inverter absorption. It reads gate
+/// kinds and pins only, never module paths or cell assignments, so a
+/// design that differs only in those cleans the same way.
+///
+/// A cleanup is not idempotent (a second one can still fold what the first
+/// exposed), but all-zero stats mean it changed nothing, so running it
+/// again on the same gates changes nothing either.
+pub fn cleanup(design: &mut MappedDesign, library: &Library) -> PassStats {
+    let mut stats = const_propagate(design, library);
+    stats.merge(strash(design));
+    stats.merge(absorb_inverters(design, library));
+    stats.merge(strash(design));
+    stats
+}
+
+/// The main mapping-and-optimization pipeline behind `compile`: the
+/// [`cleanup`] (skipped on a design the view knows clean), then the
+/// sizing and buffering of `optimize`.
 pub fn compile(view: &mut TimingView, effort: Effort) -> PassStats {
+    let mut stats = view.cleanup();
+    stats.merge(optimize(view, effort));
+    stats
+}
+
+/// `compile` after its cleanup: sizing, the buffer trial and area recovery
+/// by effort, then a final `sweep`. A design the view knows clean skips
+/// the sweep, since resizes leave nothing for it.
+pub(crate) fn optimize(view: &mut TimingView, effort: Effort) -> PassStats {
     let mut stats = PassStats::default();
     let library = view.library();
     let max_area = view.constraints().max_area;
-    stats.merge(view.with_design_mut(|design| {
-        let mut s = const_propagate(design, library);
-        s.merge(strash(design));
-        s.merge(absorb_inverters(design, library));
-        s.merge(strash(design));
-        s
-    }));
     match effort {
         Effort::Low => {}
         Effort::Medium => {
@@ -1059,7 +1089,11 @@ pub fn compile(view: &mut TimingView, effort: Effort) -> PassStats {
             }
         }
     }
-    stats.merge(view.with_design_mut(sweep));
+    if view.is_clean() {
+        view.check_clean();
+    } else {
+        stats.merge(view.with_design_mut(sweep));
+    }
     stats
 }
 
@@ -1321,6 +1355,97 @@ mod tests {
         assert!(d.area(&lib) < before, "recovery must reclaim area");
         assert_eq!(signature(&d, 6, 20), sig);
         assert!(qor(&d, &lib, &c).cps >= 0.0);
+    }
+
+    /// Runs `script` on a session over `src` and asserts that the result
+    /// is equivalent to the mapped design over 64 random cycles and that no
+    /// net a gate reads is left undriven (NL002).
+    fn assert_script_preserves_function(src: &str, top: &str, script: &str) {
+        let sf = parse(src).unwrap();
+        let nl = lower_to_netlist(&sf, top).unwrap();
+        let mut session = crate::tool::SessionBuilder::new(nl, nangate45()).session().unwrap();
+        let before = signature(session.design(), 7, 64);
+        let result = session.run_script(script);
+        assert!(result.ok(), "{:?}", result.error);
+        assert_eq!(signature(session.design(), 7, 64), before, "{script}");
+        let mut d = session.design().clone();
+        d.compact();
+        let floating: Vec<_> = d.netlist.lint().into_iter().filter(|i| i.code == "NL002").collect();
+        assert!(floating.is_empty(), "{script}: {floating:?}");
+    }
+
+    /// Per-bit enabled registers `q[i]` loading `d[i]` when `en[i]` is set.
+    fn gated_bits(en: &str, q: &str, d: &str) -> String {
+        (0..4).map(|i| format!("if ({en}[{i}]) {q}[{i}] <= {d}[{i}];\n")).collect()
+    }
+
+    #[test]
+    fn absorption_keeps_a_gate_a_register_enable_reads() {
+        // ~en merges into a NAND only if nothing else reads en; after
+        // clock gating, the registers' enables do.
+        let src = format!(
+            "module m(input clk, input [3:0] a, b, d, output [3:0] y, output reg [3:0] q);
+                wire [3:0] en;
+                assign en = a & b;
+                assign y = ~en;
+                always @(posedge clk) begin {} end
+            endmodule",
+            gated_bits("en", "q", "d")
+        );
+        let script = "create_clock -period 2.0 [get_ports clk]\ninsert_clock_gating\ncompile\n";
+        assert_script_preserves_function(&src, "m", script);
+    }
+
+    #[test]
+    fn double_inverter_collapse_moves_register_enables() {
+        let src = format!(
+            "module m(input clk, input [3:0] e, d, output reg [3:0] q);
+                wire [3:0] ne, nne;
+                assign ne = ~e;
+                assign nne = ~ne;
+                always @(posedge clk) begin {} end
+            endmodule",
+            gated_bits("nne", "q", "d")
+        );
+        let script = "create_clock -period 2.0 [get_ports clk]\ninsert_clock_gating\ncompile\n";
+        assert_script_preserves_function(&src, "m", script);
+    }
+
+    #[test]
+    fn retime_keeps_a_gate_a_register_enable_reads() {
+        // q1's data gate also drives q2's enables: moving q1 behind it
+        // would leave those enables undriven.
+        let src = format!(
+            "module m(input clk, input [7:0] x, y, input [3:0] b, d,
+                      output reg [3:0] q1, q2);
+                wire [15:0] p;
+                wire [3:0] n;
+                assign p = x * y;
+                assign n = p[11:8] & b;
+                always @(posedge clk) begin q1 <= n; {} end
+            endmodule",
+            gated_bits("n", "q2", "d")
+        );
+        let script =
+            "create_clock -period 0.5 [get_ports clk]\ninsert_clock_gating\noptimize_registers\n";
+        assert_script_preserves_function(&src, "m", script);
+    }
+
+    #[test]
+    fn clock_gating_keeps_a_mux_a_register_enable_reads() {
+        // The first pass gates p, whose enables then read q's hold mux;
+        // the second must not gate q and delete that mux.
+        let src = format!(
+            "module m(input clk, input [3:0] s, d, e, output reg [3:0] q, p);
+                wire [3:0] m;
+                assign m = s[0] ? d : q;
+                always @(posedge clk) begin q <= m; {} end
+            endmodule",
+            gated_bits("m", "p", "e")
+        );
+        let script =
+            "create_clock -period 2.0 [get_ports clk]\ninsert_clock_gating\ninsert_clock_gating\n";
+        assert_script_preserves_function(&src, "m", script);
     }
 
     #[test]

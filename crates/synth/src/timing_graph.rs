@@ -811,17 +811,61 @@ fn check_reports(cached: &TimingReport, fresh: &TimingReport) {
     assert_eq!(cached, fresh, "CHATLS_STA_CHECK: timing reports diverged");
 }
 
+/// What a session knows about how its design came to be: the two facts
+/// that let `compile` reuse or skip its cleanup. The [`TimingView`] edit
+/// hooks keep it current, since every edit a command makes goes through
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Provenance {
+    /// The design equals the template's pristine design up to module
+    /// paths: nothing has edited it but `ungroup -all`.
+    pub(crate) pristine: bool,
+    /// The last cleanup returned all-zero stats and no structural edit
+    /// followed (resizes and `ungroup -all` do not count: no cleanup pass
+    /// reads cells or module paths).
+    pub(crate) clean: bool,
+}
+
+impl Provenance {
+    /// A freshly stamped session: the template's design, never cleaned.
+    pub(crate) const PRISTINE: Self = Self { pristine: true, clean: false };
+    /// After a structural edit.
+    pub(crate) const EDITED: Self = Self { pristine: false, clean: false };
+}
+
+/// The process-wide `synth.cleanup.*` counters in the obs registry.
+pub(crate) struct CleanupCounters {
+    /// Cleanup memos filled (`synth.cleanup.memo_fills`).
+    pub(crate) memo_fills: &'static chatls_obs::Counter,
+    /// Compiles that adopted a filled memo (`synth.cleanup.memo_hits`).
+    pub(crate) memo_hits: &'static chatls_obs::Counter,
+    /// Cleanups skipped on a clean design (`synth.cleanup.skipped`).
+    pub(crate) skipped: &'static chatls_obs::Counter,
+}
+
+/// The [`CleanupCounters`], resolved (and registered together) once.
+pub(crate) fn cleanup_counters() -> &'static CleanupCounters {
+    static COUNTERS: OnceLock<CleanupCounters> = OnceLock::new();
+    COUNTERS.get_or_init(|| CleanupCounters {
+        memo_fills: chatls_obs::counter("synth.cleanup.memo_fills"),
+        memo_hits: chatls_obs::counter("synth.cleanup.memo_hits"),
+        skipped: chatls_obs::counter("synth.cleanup.skipped"),
+    })
+}
+
 /// A mutable lens over a design plus its timing graph: reads serve from the
 /// incremental cache, writes go through hooks that keep the cache honest.
 ///
 /// The timing-driven passes take a `TimingView` instead of a bare
-/// `&mut MappedDesign` so that every edit is visible to the graph.
+/// `&mut MappedDesign` so that every edit is visible to the graph, and to
+/// the session's [`Provenance`] when the view tracks one.
 pub struct TimingView<'a> {
     design: &'a mut MappedDesign,
     graph: &'a mut TimingGraph,
     library: &'a Library,
     constraints: &'a Constraints,
     cancel: chatls_exec::CancelToken,
+    provenance: Option<&'a mut Provenance>,
 }
 
 impl<'a> TimingView<'a> {
@@ -832,7 +876,67 @@ impl<'a> TimingView<'a> {
         library: &'a Library,
         constraints: &'a Constraints,
     ) -> Self {
-        Self { design, graph, library, constraints, cancel: chatls_exec::CancelToken::never() }
+        Self {
+            design,
+            graph,
+            library,
+            constraints,
+            cancel: chatls_exec::CancelToken::never(),
+            provenance: None,
+        }
+    }
+
+    /// Tracks `provenance` through this view's edit hooks. An untracked
+    /// view knows nothing about its design's history, so it never skips a
+    /// cleanup.
+    pub(crate) fn tracking(mut self, provenance: &'a mut Provenance) -> Self {
+        self.provenance = Some(provenance);
+        self
+    }
+
+    /// Records a structural edit: the design is neither pristine nor clean.
+    fn edited(&mut self) {
+        if let Some(p) = self.provenance.as_deref_mut() {
+            *p = Provenance::EDITED;
+        }
+    }
+
+    /// True when the tracked session knows its design clean: a cleanup
+    /// would return all-zero stats.
+    pub(crate) fn is_clean(&self) -> bool {
+        self.provenance.as_deref().is_some_and(|p| p.clean)
+    }
+
+    /// `compile`'s cleanup ([`crate::passes::cleanup`]) through
+    /// [`Self::with_design_mut`], skipped on a design known clean: it
+    /// would change nothing, and the graph stays either way. Counts each
+    /// skip in `synth.cleanup.skipped`.
+    pub(crate) fn cleanup(&mut self) -> PassStats {
+        if self.is_clean() {
+            cleanup_counters().skipped.inc();
+            self.check_clean();
+            return PassStats::default();
+        }
+        let library = self.library;
+        let stats = self.with_design_mut(|design| crate::passes::cleanup(design, library));
+        if let Some(p) = self.provenance.as_deref_mut() {
+            p.clean = stats == PassStats::default();
+        }
+        stats
+    }
+
+    /// Under the oracle ([`sta_check_enabled`]), asserts that a cleanup
+    /// of a copy of the design returns all-zero stats: the proof behind
+    /// every skipped cleanup and final `sweep`.
+    pub(crate) fn check_clean(&self) {
+        if sta_check_enabled() {
+            let stats = crate::passes::cleanup(&mut self.design.clone(), self.library);
+            assert_eq!(
+                stats,
+                PassStats::default(),
+                "CHATLS_STA_CHECK: a skipped cleanup would have changed the design"
+            );
+        }
     }
 
     /// Attaches a cooperative cancel token; the iterative optimization
@@ -899,6 +1003,10 @@ impl<'a> TimingView<'a> {
     pub fn resize_cell(&mut self, gi: usize, cell: u32) {
         self.design.cells[gi] = cell;
         self.graph.note_resize(self.design, self.library, gi);
+        // Still clean: no cleanup pass reads cells.
+        if let Some(p) = self.provenance.as_deref_mut() {
+            p.pristine = false;
+        }
     }
 
     /// Tombstones gate `gi`; dirties its former input-net loads and the
@@ -906,22 +1014,26 @@ impl<'a> TimingView<'a> {
     pub fn kill_gate(&mut self, gi: usize) {
         self.design.kill(gi);
         self.graph.note_kill(self.design, self.library, gi);
+        self.edited();
     }
 
     /// Arbitrary design mutation by a pass that counts every edit it makes
     /// in its [`PassStats`]. The graph is invalidated only when the stats
-    /// report a change, so a pass that finds nothing to do keeps it.
+    /// report a change, so a pass that finds nothing to do keeps it (and
+    /// the design stays as pristine and as clean as it was).
     pub fn with_design_mut(&mut self, f: impl FnOnce(&mut MappedDesign) -> PassStats) -> PassStats {
         let stats = f(self.design);
         if stats != PassStats::default() {
             self.graph.invalidate();
+            self.edited();
         }
         stats
     }
 
     /// `ungroup -all` ([`crate::passes::ungroup_all`]); returns the number
     /// of gates moved to the top. Module paths feed only the derived
-    /// reports, so the arrivals stay cached.
+    /// reports, so the arrivals stay cached, and no cleanup pass reads
+    /// them, so the design stays as pristine and as clean as it was.
     pub fn ungroup_all(&mut self) -> usize {
         let moved = crate::passes::ungroup_all(self.design);
         if moved > 0 {
@@ -955,6 +1067,7 @@ impl<'a> TimingView<'a> {
         let pre_trial = std::mem::replace(self.graph, fresh);
         let after = self.graph.summary_mut(journal.design(), self.library, self.constraints).cps;
         if keep(before, after) {
+            self.edited();
             return Some(out);
         }
         journal.rollback();
@@ -1155,6 +1268,60 @@ mod tests {
         let stats = g.stats();
         assert_eq!(stats.full_builds, 2, "the rolled-back trial's build still counts");
         assert_eq!(stats.incremental_updates, 0, "the restored graph is current");
+    }
+
+    /// The edit hooks keep a tracked session's provenance: a kept trial, a
+    /// kill or a pass that changed something leaves the design neither
+    /// pristine nor clean; a resize clears only pristine; a rolled-back
+    /// trial, a no-op pass and `ungroup -all` change nothing.
+    #[test]
+    fn edit_hooks_keep_the_provenance() {
+        let mut d = map(PIPE, "pipe");
+        let lib = nangate45();
+        let c = cons(0.6);
+        let mut g = TimingGraph::new();
+        let both = Provenance { pristine: true, clean: true };
+        let mut p = both;
+        let mut view = TimingView::new(&mut d, &mut g, &lib, &c).tracking(&mut p);
+        let split = |edit: &mut EditJournal<'_>| {
+            assert!(crate::passes::buffer_high_fanout_in(edit, &lib, 2).added > 0);
+        };
+        assert!(view.trial(split, |_, _| false).is_none());
+        assert_eq!(view.with_design_mut(|_| PassStats::default()), PassStats::default());
+        assert!(view.ungroup_all() > 0);
+        assert!(view.is_clean());
+        assert_eq!(view.cleanup(), PassStats::default(), "a clean design skips its cleanup");
+        let gi = (0..view.design().cells.len())
+            .find(|&gi| lib.next_drive(view.design().cells[gi], true).is_some())
+            .expect("a resizable gate");
+        view.resize_cell(gi, lib.next_drive(view.design().cells[gi], true).unwrap());
+        drop(view);
+        assert_eq!(p, Provenance { pristine: false, clean: true });
+        for edit in 0..3 {
+            let mut p = both;
+            let mut view = TimingView::new(&mut d, &mut g, &lib, &c).tracking(&mut p);
+            match edit {
+                0 => assert!(view.trial(split, |_, _| true).is_some()),
+                1 => view.kill_gate(gi),
+                _ => {
+                    let added = PassStats { added: 1, ..PassStats::default() };
+                    view.with_design_mut(|_| added);
+                }
+            }
+            drop(view);
+            assert_eq!(p, Provenance::EDITED, "edit {edit}");
+        }
+        // A cleanup that changes something leaves the design unclean; one
+        // that changes nothing proves it clean.
+        let mut fresh = map(PIPE, "pipe");
+        let mut p = Provenance::PRISTINE;
+        let mut view = TimingView::new(&mut fresh, &mut g, &lib, &c).tracking(&mut p);
+        let mut rounds = 0;
+        while view.cleanup() != PassStats::default() {
+            assert!(!view.is_clean());
+            rounds += 1;
+        }
+        assert!(rounds > 0 && view.is_clean());
     }
 
     #[test]

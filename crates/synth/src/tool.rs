@@ -10,19 +10,21 @@
 
 use crate::design::MappedDesign;
 use crate::passes::{
-    buffer_high_fanout_in, compile, exceeds_fanout, fix_hold, insert_clock_gating, not_slower,
-    retime, Effort, MIN_FANOUT_LIMIT,
+    buffer_high_fanout_in, cleanup, compile, exceeds_fanout, fix_hold, insert_clock_gating,
+    not_slower, optimize, retime, ungroup_all, Effort, PassStats, MIN_FANOUT_LIMIT,
 };
 use crate::script::{parse_script, Command};
 use crate::sta::{Constraints, QorReport, TimingReport};
-use crate::timing_graph::{TimingGraph, TimingView};
+use crate::timing_graph::{
+    cleanup_counters, sta_check_enabled, Provenance, TimingGraph, TimingView,
+};
 use chatls_exec::CancelToken;
 use chatls_liberty::Library;
 use chatls_verilog::netlist::Netlist;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Error raised by a script command.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -617,15 +619,53 @@ pub fn command_spec(name: &str) -> Option<&'static CommandSpec> {
 /// a session clones the design privately (`Arc::make_mut`) while the
 /// library is never copied at all. One template therefore serves many
 /// threads concurrently without serializing on a deep clone
-/// (`&SessionTemplate` is `Sync`: the struct is immutable after
-/// construction), and cloning the template itself — e.g. out of a serve
-/// pool — is two reference-count bumps.
+/// (`&SessionTemplate` is `Sync`), and cloning the template itself is a
+/// few reference-count bumps.
+///
+/// A template also holds a **cleanup memo**: the first `compile` or
+/// `compile_ultra` of any of its stamps cleans the pristine design once
+/// (`passes::cleanup`), and every later stamp's first compile adopts that
+/// cleaned design by `Arc` clone instead of cleaning its own copy. The
+/// memo lives as long as the template and its clones; [`Self::scoped`]
+/// gives a copy with a fresh, empty memo, so a long-lived template (a
+/// serve pool entry) can hand each request or session its own memo and
+/// never keep a cleaned copy itself.
 #[derive(Debug, Clone)]
 pub struct SessionTemplate {
     library: Arc<Library>,
-    design: Arc<MappedDesign>,
+    memo: CleanupMemo,
     obs: chatls_obs::ObsCtx,
     cancel: CancelToken,
+}
+
+/// A template's pristine mapped design plus the memo of its cleanup,
+/// shared by the template, its clones and every session stamped from them.
+#[derive(Debug, Clone)]
+struct CleanupMemo {
+    pristine: Arc<MappedDesign>,
+    cleaned: Arc<OnceLock<(Arc<MappedDesign>, PassStats)>>,
+}
+
+impl CleanupMemo {
+    fn new(pristine: Arc<MappedDesign>) -> Self {
+        Self { pristine, cleaned: Arc::default() }
+    }
+
+    /// The cleanup of the pristine design and its stats, computed by the
+    /// first caller (concurrent callers wait for it). Counts a memo fill or
+    /// a memo hit.
+    fn cleaned(&self, library: &Library) -> &(Arc<MappedDesign>, PassStats) {
+        let mut filled = false;
+        let memo = self.cleaned.get_or_init(|| {
+            filled = true;
+            let mut design = (*self.pristine).clone();
+            let stats = cleanup(&mut design, library);
+            (Arc::new(design), stats)
+        });
+        let counters = cleanup_counters();
+        if filled { counters.memo_fills } else { counters.memo_hits }.inc();
+        memo
+    }
 }
 
 /// The one construction path for synthesis sessions.
@@ -692,7 +732,7 @@ impl SessionBuilder {
         };
         Ok(SessionTemplate {
             library: Arc::new(self.library),
-            design: Arc::new(design),
+            memo: CleanupMemo::new(Arc::new(design)),
             obs: self.obs,
             cancel: self.cancel,
         })
@@ -716,7 +756,20 @@ impl SessionTemplate {
 
     /// The mapped design in its pristine (pre-script) state.
     pub fn design(&self) -> &MappedDesign {
-        &self.design
+        &self.memo.pristine
+    }
+
+    /// This template with its own, empty cleanup memo: the same library
+    /// and pristine design `Arc`s, so it costs a few reference-count bumps
+    /// and one small allocation. Stamps from the copy share one memo with
+    /// each other and none with the original.
+    pub fn scoped(&self) -> SessionTemplate {
+        SessionTemplate { memo: CleanupMemo::new(Arc::clone(&self.memo.pristine)), ..self.clone() }
+    }
+
+    /// True once a stamp's compile has filled this template's cleanup memo.
+    pub fn cleanup_memoized(&self) -> bool {
+        self.memo.cleaned.get().is_some()
     }
 
     /// A fresh session over the pristine mapped design: default
@@ -725,14 +778,16 @@ impl SessionTemplate {
     /// mapping cost. The stamp inherits the builder's cancel token;
     /// attach a per-run one with [`SynthSession::set_cancel_token`].
     ///
-    /// Stamping is copy-on-write: this shares the template's library and
-    /// mapped design by reference, so it costs two `Arc` clones; the
-    /// session privately clones the design only when (and if) its first
-    /// mutating command runs.
+    /// Stamping is copy-on-write: this shares the template's library,
+    /// mapped design and cleanup memo by reference, so it costs a few `Arc`
+    /// clones; the session privately clones the design only when (and if)
+    /// its first mutating command runs.
     pub fn session(&self) -> SynthSession {
         SynthSession {
             library: Arc::clone(&self.library),
-            design: Arc::clone(&self.design),
+            design: Arc::clone(&self.memo.pristine),
+            memo: self.memo.clone(),
+            provenance: Provenance::PRISTINE,
             graph: TimingGraph::new(),
             constraints: Constraints::default(),
             ungrouped: false,
@@ -762,10 +817,18 @@ impl SessionTemplate {
 /// first mutating command, at which point [`Arc::make_mut`] gives this
 /// session a private copy. Cancelled or failed sessions therefore cannot
 /// observe — let alone corrupt — the template they were stamped from.
+///
+/// The session tracks its design's [`Provenance`]. The first compile on a
+/// still-pristine design adopts the template's cleanup memo, and a compile
+/// on a design whose last cleanup changed nothing skips the cleanup and
+/// the final `sweep`; both leave the design and stats bit for bit as a
+/// real cleanup would, which `CHATLS_STA_CHECK=1` asserts on every use.
 #[derive(Debug, Clone)]
 pub struct SynthSession {
     library: Arc<Library>,
     design: Arc<MappedDesign>,
+    memo: CleanupMemo,
+    provenance: Provenance,
     graph: TimingGraph,
     constraints: Constraints,
     ungrouped: bool,
@@ -851,6 +914,57 @@ impl SynthSession {
             &self.constraints,
         )
         .with_cancel(self.cancel.clone())
+        .tracking(&mut self.provenance)
+    }
+
+    /// The `compile` pass ([`crate::passes::compile`]) at `effort`, whose
+    /// cleanup on a pristine design comes from the template's memo
+    /// ([`Self::adopt_cleanup`]).
+    fn compile(&mut self, effort: Effort) -> PassStats {
+        if !self.provenance.pristine {
+            return compile(&mut self.view(), effort);
+        }
+        let mut stats = self.adopt_cleanup();
+        stats.merge(optimize(&mut self.view(), effort));
+        stats
+    }
+
+    /// `compile`'s cleanup of a pristine design, served by the template's
+    /// memo: the cleaned design is adopted by `Arc` clone (a memo with
+    /// all-zero stats changed nothing, so the session keeps its own) and
+    /// `ungroup -all` re-applied when the session ungrouped, which also
+    /// performs `compile_ultra`'s deferred one (cleanup and ungroup
+    /// commute: no cleanup pass reads module paths). Stats and graph
+    /// invalidation are exactly the real cleanup's.
+    fn adopt_cleanup(&mut self) -> PassStats {
+        let expected = sta_check_enabled().then(|| {
+            let mut design = (*self.design).clone();
+            if self.ungrouped {
+                ungroup_all(&mut design);
+            }
+            let stats = cleanup(&mut design, &self.library);
+            (design, stats)
+        });
+        let (cleaned, stats) = self.memo.cleaned(&self.library);
+        let stats = *stats;
+        if stats == PassStats::default() {
+            self.provenance.clean = true;
+        } else {
+            self.design = Arc::clone(cleaned);
+            self.graph.invalidate();
+            self.provenance = Provenance::EDITED;
+        }
+        if self.ungrouped {
+            self.view().ungroup_all();
+        }
+        if let Some((design, expected)) = expected {
+            assert_eq!(stats, expected, "CHATLS_STA_CHECK: memoized cleanup stats diverged");
+            assert!(
+                design == *self.design,
+                "CHATLS_STA_CHECK: memoized cleanup diverged from a real cleanup"
+            );
+        }
+        stats
     }
 
     /// QoR of the current design state, served from the incremental timing
@@ -1108,7 +1222,7 @@ impl SynthSession {
                         return Err(self.err(cmd, format!("invalid -map_effort '{other}'")))
                     }
                 };
-                let stats = compile(&mut self.view(), effort);
+                let stats = self.compile(effort);
                 self.log.push(format!(
                     "compile: removed {} added {} resized {}",
                     stats.removed, stats.added, stats.resized
@@ -1122,15 +1236,17 @@ impl SynthSession {
                     );
                 }
                 if !cmd.has_flag("-no_autoungroup") {
-                    self.view().ungroup_all();
+                    // A pristine design's compile ungroups its memo copy.
+                    if !self.provenance.pristine {
+                        self.view().ungroup_all();
+                    }
                     self.ungrouped = true;
                 }
                 let ungrouped = self.ungrouped;
-                let mut stats = compile(&mut self.view(), Effort::High);
+                let mut stats = self.compile(Effort::High);
                 if cmd.has_flag("-retime") {
-                    let mut view = self.view();
-                    stats.merge(retime(&mut view, ungrouped, 64));
-                    stats.merge(compile(&mut view, Effort::High));
+                    stats.merge(retime(&mut self.view(), ungrouped, 64));
+                    stats.merge(self.compile(Effort::High));
                 }
                 self.log.push(format!(
                     "compile_ultra: removed {} added {} resized {}",
@@ -1151,12 +1267,9 @@ impl SynthSession {
                     return Err(self.err(cmd, "design has no registers to retime"));
                 }
                 let ungrouped = self.ungrouped;
-                let (stats, stats2) = {
-                    let mut view = self.view();
-                    let stats = retime(&mut view, ungrouped, 64);
-                    // Retiming leaves new register inputs unsized; clean up.
-                    (stats, compile(&mut view, Effort::Medium))
-                };
+                let stats = retime(&mut self.view(), ungrouped, 64);
+                // Retiming leaves new register inputs unsized; clean up.
+                let stats2 = self.compile(Effort::Medium);
                 self.log.push(format!(
                     "optimize_registers: moved {} registers (resized {})",
                     stats.added,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Remaining experiments after the interrupted sweep; the first one builds
-# and caches the shared expert database, the rest load it.
+# Remaining experiments after the interrupted sweep; each one builds the
+# full expert database in-process (a few seconds, deterministic).
 set -u
 mkdir -p experiments_log
 for exp in tab3_comparison fig5_synthrag_f1 ablation_rerank ablation_gnn \
