@@ -493,9 +493,10 @@ fn assert_matmul_fast() {
     });
 }
 
-/// CI guard: full STA on the largest catalog design. Level-parallel
-/// arrival propagation plus the slab-reused timing graph measure ~5 ms;
-/// 7 ms fails a slide back toward the serial-era ~11 ms.
+/// CI guard: full STA on the largest catalog design (swerv, about 40k
+/// gates). The serial arrival walk measures about 3.5 ms on an idle
+/// 2-core reference box; 7 ms (scaled by the speed probe) fails a walk
+/// or a timing-graph build that doubles its cost.
 fn assert_full_sta_fast() {
     let design = chatls_designs::by_name("swerv").expect("catalog design");
     let template = session_template(&design);

@@ -120,7 +120,7 @@ impl QorCache {
     /// feeds the same process-wide counters; the local [`CacheStats`]
     /// stay per-instance).
     pub fn new() -> Self {
-        Self { inner: ShardedCache::named_bounded("core.qorcache", QOR_CACHE_CAPACITY) }
+        Self { inner: ShardedCache::new("core.qorcache", QOR_CACHE_CAPACITY) }
     }
 
     /// The process-wide cache shared by the default [`pass_at_k`] entry

@@ -10,12 +10,14 @@
 //!   to the serial loop it replaces regardless of thread count. The pool
 //!   width comes from the `CHATLS_THREADS` environment variable (falling
 //!   back to the machine's available parallelism).
-//! - [`ShardedCache`] — a lock-striped memo map with hit/miss counters,
-//!   the substrate under `chatls_core`'s QoR cache: each shard is an
-//!   independent `Mutex<HashMap>`, so concurrent lookups on different keys
-//!   rarely contend. [`ShardedCache::named`] mirrors the hit/miss counters
-//!   into the `chatls_obs` registry so telemetry sinks can render them.
-//!
+//! - [`ShardedCache`] — a bounded, lock-striped memo map with hit/miss
+//!   counters, the substrate under `chatls_core`'s QoR cache: each shard
+//!   is an independent `Mutex<HashMap>`, so concurrent lookups on
+//!   different keys rarely contend, and a full shard evicts its
+//!   least-recently-used entry. [`ShardedCache::new`] takes the cache's
+//!   name and capacity; the hit/miss counters are mirrored into the
+//!   `chatls_obs` registry under that name so telemetry sinks can render
+//!   them.
 //! - [`CancelToken`] — a cooperative cancellation/deadline token threaded
 //!   through long-running work (the serving daemon's per-request timeout,
 //!   graceful shutdown). Checked at stage boundaries; never preemptive.
@@ -362,40 +364,6 @@ impl ExecPool {
     {
         self.run(items.len(), |i| f(&items[i]))
     }
-
-    /// Runs `f(0), f(1), …, f(workers-1)` with every invocation on its own
-    /// concurrently live thread, then joins them all.
-    ///
-    /// Unlike [`ExecPool::run`] — which may fold several work items onto
-    /// one worker — `broadcast` guarantees all `workers` closures execute
-    /// simultaneously, so they may rendezvous on a shared
-    /// [`std::sync::Barrier`] without deadlocking. This is the primitive
-    /// behind level-parallel sweeps that need phase barriers (e.g. the
-    /// levelized STA arrival propagation in `chatls-synth`). `workers` is
-    /// clamped to the pool width; a width-1 pool runs `f(0)` inline.
-    ///
-    /// Panics in any closure propagate to the caller after the scope joins.
-    pub fn broadcast<F>(&self, workers: usize, f: F) -> usize
-    where
-        F: Fn(usize) + Sync,
-    {
-        let workers = workers.clamp(1, self.threads);
-        let (runs, tasks) = pool_counters();
-        runs.inc();
-        tasks.add(workers as u64);
-        if workers == 1 {
-            f(0);
-            return 1;
-        }
-        std::thread::scope(|scope| {
-            let f = &f;
-            for t in 1..workers {
-                scope.spawn(move || f(t));
-            }
-            f(0);
-        });
-        workers
-    }
 }
 
 /// Parses the `CHATLS_THREADS` override: `Ok(None)` when unset or empty
@@ -455,8 +423,8 @@ impl CacheStats {
 
 const SHARDS: usize = 16;
 
-/// A lock-striped memo map: `SHARDS` independent `Mutex<HashMap>` shards
-/// selected by key hash, plus atomic hit/miss counters.
+/// A bounded, lock-striped memo map: `SHARDS` independent `Mutex<HashMap>`
+/// shards selected by key hash, plus atomic hit/miss counters.
 ///
 /// [`ShardedCache::get_or_insert_with`] releases the shard lock while the
 /// value is computed, so a slow miss never blocks lookups of other keys in
@@ -464,67 +432,44 @@ const SHARDS: usize = 16;
 /// compute it (last write wins); since cached computations are pure this
 /// only shows up in the miss counter, never in results.
 ///
-/// Caches built with [`ShardedCache::bounded`] /
-/// [`ShardedCache::named_bounded`] evict the least-recently-used entry of
-/// a shard once that shard is full, so long-running processes (the serve
-/// daemon) cannot be grown without bound by a stream of distinct keys.
+/// A full shard evicts its least-recently-used entry, so long-running
+/// processes (the serve daemon) cannot be grown without bound by a stream
+/// of distinct keys.
 pub struct ShardedCache<K, V> {
-    /// Entries carry the use-clock value of their last hit or insert;
-    /// bounded caches evict the shard's minimum on overflow.
+    /// Entries carry the use-clock value of their last hit or insert; a
+    /// full shard evicts its minimum.
     shards: Vec<Mutex<HashMap<K, (V, u64)>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Per-shard entry cap (`usize::MAX` = unbounded).
+    /// Per-shard entry cap.
     shard_cap: usize,
-    /// Monotonic use clock driving LRU eviction in bounded caches.
+    /// Monotonic use clock driving LRU eviction.
     tick: AtomicU64,
     /// Mirrored `<name>.hits` / `<name>.misses` handles in the process-wide
-    /// obs registry, for caches built with [`ShardedCache::named`].
-    obs: Option<(&'static chatls_obs::Counter, &'static chatls_obs::Counter)>,
+    /// obs registry.
+    obs: (&'static chatls_obs::Counter, &'static chatls_obs::Counter),
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
-    /// An empty, unbounded cache.
-    pub fn new() -> Self {
+    /// An empty cache holding at most (roughly) `capacity` entries: each
+    /// shard caps at `capacity / SHARDS` (min 1). Its hit/miss counters
+    /// are mirrored into the obs registry as `<name>.hits` /
+    /// `<name>.misses` (`name` follows the `stage.subsystem` convention,
+    /// e.g. `core.qorcache`); the local [`CacheStats`] counters are this
+    /// instance's own, the registry copies are what the telemetry sinks
+    /// render.
+    pub fn new(name: &str, capacity: usize) -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            shard_cap: usize::MAX,
+            shard_cap: (capacity / SHARDS).max(1),
             tick: AtomicU64::new(0),
-            obs: None,
+            obs: (
+                chatls_obs::counter_dyn(&format!("{name}.hits")),
+                chatls_obs::counter_dyn(&format!("{name}.misses")),
+            ),
         }
-    }
-
-    /// An empty cache holding at most (roughly) `capacity` entries; each
-    /// shard caps at `capacity / SHARDS` (min 1) and evicts its
-    /// least-recently-used entry on overflow.
-    pub fn bounded(capacity: usize) -> Self {
-        let mut cache = Self::new();
-        cache.shard_cap = (capacity / SHARDS).max(1);
-        cache
-    }
-
-    /// An empty cache whose hit/miss counters are mirrored into the obs
-    /// registry as `<name>.hits` / `<name>.misses` (`name` follows the
-    /// `stage.subsystem` convention, e.g. `core.qorcache`). The local
-    /// [`CacheStats`] counters keep working unchanged; the registry copies
-    /// are what the telemetry sinks render.
-    pub fn named(name: &str) -> Self {
-        let mut cache = Self::new();
-        cache.obs = Some((
-            chatls_obs::counter_dyn(&format!("{name}.hits")),
-            chatls_obs::counter_dyn(&format!("{name}.misses")),
-        ));
-        cache
-    }
-
-    /// [`ShardedCache::named`] with the [`ShardedCache::bounded`] entry
-    /// cap.
-    pub fn named_bounded(name: &str, capacity: usize) -> Self {
-        let mut cache = Self::named(name);
-        cache.shard_cap = (capacity / SHARDS).max(1);
-        cache
     }
 
     fn shard(&self, key: &K) -> &Mutex<HashMap<K, (V, u64)>> {
@@ -540,20 +485,16 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         if let Some(entry) = shard.lock().unwrap().get_mut(&key) {
             entry.1 = self.tick.fetch_add(1, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some((hits, _)) = self.obs {
-                hits.inc();
-            }
+            self.obs.0.inc();
             return entry.0.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some((_, misses)) = self.obs {
-            misses.inc();
-        }
+        self.obs.1.inc();
         let v = compute();
         let mut map = shard.lock().unwrap();
         if !map.contains_key(&key) && map.len() >= self.shard_cap {
             // Evict the shard's least-recently-used entry. O(shard len),
-            // paid only on overflow of a bounded cache.
+            // paid only on overflow.
             if let Some(oldest) = map.iter().min_by_key(|(_, (_, t))| *t).map(|(k, _)| k.clone()) {
                 map.remove(&oldest);
             }
@@ -593,16 +534,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        if let Some((hits, misses)) = self.obs {
-            hits.reset();
-            misses.reset();
-        }
-    }
-}
-
-impl<K: Hash + Eq + Clone, V: Clone> Default for ShardedCache<K, V> {
-    fn default() -> Self {
-        Self::new()
+        self.obs.0.reset();
+        self.obs.1.reset();
     }
 }
 
@@ -761,7 +694,7 @@ mod tests {
 
     #[test]
     fn cache_hits_and_misses_count() {
-        let cache: ShardedCache<u64, String> = ShardedCache::new();
+        let cache: ShardedCache<u64, String> = ShardedCache::new("exec.test_counts", 64);
         let a = cache.get_or_insert_with(7, || "seven".to_string());
         assert_eq!(a, "seven");
         let b = cache.get_or_insert_with(7, || panic!("must hit"));
@@ -774,7 +707,8 @@ mod tests {
 
     #[test]
     fn cache_is_safe_under_contention() {
-        let cache: ShardedCache<usize, usize> = ShardedCache::new();
+        // Room for every key in every shard: nothing is evicted.
+        let cache: ShardedCache<usize, usize> = ShardedCache::new("exec.test_contention", 1024);
         let pool = ExecPool::new(8);
         let out = pool.run(400, |i| cache.get_or_insert_with(i % 10, || (i % 10) * 2));
         for (i, v) in out.iter().enumerate() {
@@ -790,7 +724,7 @@ mod tests {
     fn bounded_cache_evicts_least_recently_used() {
         // Capacity 2*SHARDS = two slots per shard; three keys hashing to
         // the same shard compete for them.
-        let cache: ShardedCache<u64, u64> = ShardedCache::bounded(2 * SHARDS);
+        let cache: ShardedCache<u64, u64> = ShardedCache::new("exec.test_lru", 2 * SHARDS);
         let shard_of = |k: u64| {
             use std::hash::{Hash, Hasher};
             let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -821,7 +755,7 @@ mod tests {
 
     #[test]
     fn cache_clear_resets() {
-        let cache: ShardedCache<u8, u8> = ShardedCache::new();
+        let cache: ShardedCache<u8, u8> = ShardedCache::new("exec.test_clear", 64);
         cache.get_or_insert_with(1, || 2);
         cache.clear();
         assert!(cache.is_empty());
@@ -830,7 +764,7 @@ mod tests {
 
     #[test]
     fn named_cache_mirrors_into_obs_registry() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::named("exec.test_cache");
+        let cache: ShardedCache<u64, u64> = ShardedCache::new("exec.test_cache", 64);
         let hits = chatls_obs::counter_dyn("exec.test_cache.hits");
         let misses = chatls_obs::counter_dyn("exec.test_cache.misses");
         hits.reset();

@@ -38,6 +38,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod design;
 pub mod netlist_out;
 pub mod passes;

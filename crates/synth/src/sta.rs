@@ -367,16 +367,15 @@ pub(crate) fn classify_inputs(
 /// Longest combinational depth of each gate in `order` (a topological
 /// order of live combinational gates, as from [`comb_topo`]), written into
 /// `level` (resized to the gate count, 0 for gates not in `order`).
-/// Sequential drivers start a path at level 0. Returns the deepest level.
+/// Sequential drivers start a path at level 0.
 pub(crate) fn gate_levels(
     design: &MappedDesign,
     order: &[usize],
     driver: &[Option<usize>],
     level: &mut Vec<u32>,
-) -> u32 {
+) {
     level.clear();
     level.resize(design.netlist.gates.len(), 0);
-    let mut max_level = 0u32;
     for &gi in order {
         let mut lvl = 0u32;
         for &inp in &design.netlist.gates[gi].inputs {
@@ -387,9 +386,7 @@ pub(crate) fn gate_levels(
             }
         }
         level[gi] = lvl;
-        max_level = max_level.max(lvl);
     }
-    max_level
 }
 
 pub(crate) fn compute_arrivals(
@@ -413,36 +410,18 @@ pub(crate) fn compute_arrivals(
         arrival[out] = clk_to_q(library, design.cells[gi], loads[out]);
     }
 
-    // Topological propagation over live combinational gates, serially or
-    // level-parallel on the global pool for large designs.
+    // Topological propagation over live combinational gates.
     let driver = design.driver_map();
     let (order, cycles) = comb_topo(design, &driver);
-    let pool = chatls_exec::ExecPool::global();
-    if pool.threads() > 1 && order.len() - cycles >= LEVEL_PAR_MIN_GATES {
-        propagate_arrivals_levelized(
-            design,
-            library,
-            &order,
-            cycles,
-            &driver,
-            &loads,
-            &mut arrival,
-            pool,
-        );
-    } else {
-        propagate_arrivals_serial(design, library, &order, &loads, &mut arrival);
-    }
+    propagate_arrivals_serial(design, library, &order, &loads, &mut arrival);
 
     Arrivals { arrival, loads, order, driver, cycles }
 }
 
-/// Minimum acyclic gate count before arrival propagation fans out on the
-/// pool: below this the per-level barrier overhead beats the win.
-const LEVEL_PAR_MIN_GATES: usize = 8192;
-
-/// The reference serial arrival walk: gates in topological order, each
-/// taking `max(input arrival + arc delay)` over its pins.
-pub(crate) fn propagate_arrivals_serial(
+/// The arrival walk: gates in topological order, each taking
+/// `max(input arrival + arc delay)` over its pins. Cycle remnants, which
+/// [`comb_topo`] appends after the acyclic prefix, get one pessimistic pass.
+fn propagate_arrivals_serial(
     design: &MappedDesign,
     library: &Library,
     order: &[usize],
@@ -470,131 +449,6 @@ pub(crate) fn propagate_arrivals_serial(
             arrival[gate.output as usize] = worst;
         }
     }
-}
-
-/// Shared mutable `f64` buffer for the barrier-disciplined level-parallel
-/// walk. Safety rests on the phase discipline in
-/// [`propagate_arrivals_levelized`]: within one level, workers either all
-/// read (compute phase) or exactly one writes while the rest wait at the
-/// barrier (apply phase), and the two phases are separated by
-/// `Barrier::wait`, which establishes the necessary happens-before edges.
-struct SharedF64(*mut f64);
-unsafe impl Sync for SharedF64 {}
-unsafe impl Send for SharedF64 {}
-
-/// Level-parallel arrival propagation, bitwise identical to
-/// [`propagate_arrivals_serial`].
-///
-/// Why identity holds: a gate's level is `1 + max(level of its input
-/// drivers)`, so every net a level-`L` gate reads was finalized at a level
-/// `< L` — within a level there are no read-after-write hazards. Workers
-/// compute each gate's `worst` into a per-gate slot (disjoint index-ordered
-/// writes), then one worker folds the slots into the arrival array in the
-/// same relative order the serial walk used. Each slot value is produced by
-/// the exact expression the serial walk evaluates, over the exact same
-/// inputs, so every f64 bit pattern matches. Cycle remnants (appended after
-/// the acyclic prefix by [`comb_topo`]) have no well-founded level and are
-/// replayed with the serial walk at the end, again matching serial order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn propagate_arrivals_levelized(
-    design: &MappedDesign,
-    library: &Library,
-    order: &[usize],
-    cycles: usize,
-    driver: &[Option<usize>],
-    loads: &[f64],
-    arrival: &mut [f64],
-    pool: &chatls_exec::ExecPool,
-) {
-    let acyclic = order.len() - cycles;
-    let (leveled, cycle_tail) = order.split_at(acyclic);
-
-    // Longest-path level per gate over the acyclic prefix.
-    let mut level = Vec::new();
-    let max_level = gate_levels(design, leveled, driver, &mut level);
-
-    // Bucket gates by level (CSR), preserving topological-order position
-    // within each level so the apply phase replays the serial write order.
-    let nlevels = max_level as usize + 1;
-    let mut offsets = vec![0u32; nlevels + 1];
-    for &gi in leveled {
-        offsets[level[gi] as usize + 1] += 1;
-    }
-    for l in 0..nlevels {
-        offsets[l + 1] += offsets[l];
-    }
-    let mut cursor: Vec<u32> = offsets[..nlevels].to_vec();
-    let mut by_level = vec![0u32; leveled.len()];
-    for &gi in leveled {
-        let l = level[gi] as usize;
-        by_level[cursor[l] as usize] = gi as u32;
-        cursor[l] += 1;
-    }
-
-    let workers = pool.threads().clamp(1, 16);
-    let mut worst = vec![f64::NEG_INFINITY; leveled.len()];
-    let barrier = std::sync::Barrier::new(workers);
-    let arr = SharedF64(arrival.as_mut_ptr());
-    let slots = SharedF64(worst.as_mut_ptr());
-    let arr_ref = &arr;
-    let slots_ref = &slots;
-    pool.broadcast(workers, |t| {
-        for l in 0..nlevels {
-            let lo = offsets[l] as usize;
-            let hi = offsets[l + 1] as usize;
-            let span = hi - lo;
-            let chunk = span.div_ceil(workers);
-            let s = lo + (t * chunk).min(span);
-            let e = lo + ((t + 1) * chunk).min(span);
-            // Compute phase: every worker reads arrivals of lower levels
-            // and writes its own disjoint slice of the slot array.
-            #[allow(clippy::needless_range_loop)] // `i` indexes slots too
-            for i in s..e {
-                let gi = by_level[i] as usize;
-                let gate = &design.netlist.gates[gi];
-                let cell = design.cells[gi];
-                let out_load = loads[gate.output as usize];
-                let mut w = match gate.kind {
-                    GateKind::Const0 | GateKind::Const1 => 0.0,
-                    _ => f64::NEG_INFINITY,
-                };
-                for (pin, &inp) in gate.inputs.iter().enumerate() {
-                    // SAFETY: nets read here were finalized in a previous
-                    // level (or at initialization); no worker writes the
-                    // arrival array during the compute phase.
-                    let in_arr = unsafe { *arr_ref.0.add(inp as usize) };
-                    let arc_delay = arc_delay(library, cell, pin, out_load);
-                    if in_arr + arc_delay > w {
-                        w = in_arr + arc_delay;
-                    }
-                }
-                // SAFETY: slot `i` belongs to this worker's static chunk.
-                unsafe { *slots_ref.0.add(i) = w };
-            }
-            barrier.wait();
-            // Apply phase: one worker folds this level's slots into the
-            // arrival array in index order; the rest wait.
-            if t == 0 {
-                #[allow(clippy::needless_range_loop)] // `i` indexes slots too
-                for i in lo..hi {
-                    let gi = by_level[i] as usize;
-                    let out = design.netlist.gates[gi].output as usize;
-                    // SAFETY: only worker 0 touches `arrival` between the
-                    // two barriers.
-                    unsafe {
-                        let w = *slots_ref.0.add(i);
-                        if w > *arr_ref.0.add(out) {
-                            *arr_ref.0.add(out) = w;
-                        }
-                    }
-                }
-            }
-            barrier.wait();
-        }
-    });
-
-    // Cycle remnants: pessimistic serial replay, as in the serial walk.
-    propagate_arrivals_serial(design, library, cycle_tail, loads, arrival);
 }
 
 /// Runs static timing analysis.
@@ -1231,76 +1085,5 @@ mod tests {
         let hold = min_arrivals(&d, &lib, &c);
         assert_eq!(hold[a], 0.0);
         assert_eq!(hold[b], 0.3);
-    }
-
-    /// Runs the serial and level-parallel walks on identical seeds and
-    /// asserts every arrival is bitwise equal at each worker count.
-    fn assert_levelized_matches_serial(d: &MappedDesign, label: &str) {
-        let lib = nangate45();
-        let loads = d.net_loads(&lib, None);
-        let driver = d.driver_map();
-        let (order, cycles) = comb_topo(d, &driver);
-        let mut seed = vec![f64::NEG_INFINITY; d.netlist.nets.len()];
-        for (_, id) in &d.netlist.inputs {
-            seed[*id as usize] = 0.0;
-        }
-        let mut serial = seed.clone();
-        propagate_arrivals_serial(d, &lib, &order, &loads, &mut serial);
-        for workers in [1usize, 2, 4] {
-            let pool = chatls_exec::ExecPool::new(workers);
-            let mut par = seed.clone();
-            propagate_arrivals_levelized(d, &lib, &order, cycles, &driver, &loads, &mut par, &pool);
-            for (i, (a, b)) in par.iter().zip(&serial).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{label}: workers={workers} net {i}: {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    /// Level-parallel STA must be bitwise identical to the serial walk at
-    /// 1, 2 and 4 workers — and therefore invariant to the thread count.
-    #[test]
-    fn level_parallel_arrivals_bitwise_match_serial() {
-        // Multiplier: deep, wide combinational cone with shared subterms.
-        let d = map(
-            "module m(input [7:0] a, b, input clk, output reg [15:0] q);
-                always @(posedge clk) q <= a * b;
-            endmodule",
-            "m",
-        );
-        assert_levelized_matches_serial(&d, "mul8");
-        // Adder chain: long carry path, many single-bit levels.
-        let d = map(
-            "module a(input [15:0] x, y, input clk, output reg [16:0] s);
-                always @(posedge clk) s <= x + y;
-            endmodule",
-            "a",
-        );
-        assert_levelized_matches_serial(&d, "add16");
-    }
-
-    /// Combinational feedback (cycle remnants) runs on the serial tail of
-    /// the level-parallel walk; arrivals must still match serial exactly.
-    #[test]
-    fn level_parallel_handles_combinational_cycles() {
-        use chatls_verilog::netlist::{GateKind, Netlist};
-        let mut nl = Netlist::new("loopy");
-        let a = nl.add_net("a");
-        let w1 = nl.add_net("w1");
-        let w2 = nl.add_net("w2");
-        let y = nl.add_net("y");
-        nl.inputs.push(("a".into(), a));
-        nl.outputs.push(("y".into(), y));
-        // a NAND w2 -> w1; w1 NOT -> w2 (feedback); w1 AND w2 -> y.
-        nl.add_gate(GateKind::Nand, &[a, w2], w1, "loopy");
-        nl.add_gate(GateKind::Not, &[w1], w2, "loopy");
-        nl.add_gate(GateKind::And, &[w1, w2], y, "loopy");
-        let d = MappedDesign::map(nl, &nangate45()).unwrap();
-        let (_, cycles) = comb_topo(&d, &d.driver_map());
-        assert!(cycles > 0, "fixture must actually contain a cycle");
-        assert_levelized_matches_serial(&d, "loopy");
     }
 }

@@ -1341,6 +1341,56 @@ mod tests {
         assert_matches_oracles(&mut TimingView::new(&mut d, &mut g, &lib, &c), &lib, &c);
     }
 
+    /// A graph with combinational cycle remnants rebuilds on any pending
+    /// edit, since there the single-pass order defines the (pessimistic)
+    /// arrivals that a worklist flush could not reproduce.
+    #[test]
+    fn cyclic_graph_rebuilds_on_any_edit() {
+        use chatls_verilog::netlist::Netlist;
+        let mut nl = Netlist::new("loopy");
+        let a = nl.add_net("a");
+        let b = nl.add_net("b");
+        let w1 = nl.add_net("w1");
+        let w2 = nl.add_net("w2");
+        let y = nl.add_net("y");
+        let z = nl.add_net("z");
+        nl.inputs.push(("a".into(), a));
+        nl.inputs.push(("b".into(), b));
+        nl.outputs.push(("y".into(), y));
+        nl.outputs.push(("z".into(), z));
+        // a NAND w2 -> w1; w1 NOT -> w2 (feedback); w1 AND w2 -> y; and
+        // apart from the loop, NOT b -> z.
+        nl.add_gate(GateKind::Nand, &[a, w2], w1, "loopy");
+        nl.add_gate(GateKind::Not, &[w1], w2, "loopy");
+        nl.add_gate(GateKind::And, &[w1, w2], y, "loopy");
+        nl.add_gate(GateKind::Not, &[b], z, "loopy");
+        let lib = nangate45();
+        let mut d = MappedDesign::map(nl, &lib).unwrap();
+        let c = cons(1.0);
+        assert!(sta::analyze(&d, &lib, &c).combinational_cycles > 0, "the fixture has a cycle");
+        let mut g = TimingGraph::new();
+        TimingView::new(&mut d, &mut g, &lib, &c).report();
+        // A resize on the loop, then one on the gate the loop never reaches.
+        for (step, out) in [w1, z].into_iter().enumerate() {
+            let mut view = TimingView::new(&mut d, &mut g, &lib, &c);
+            let gi = view.design().netlist.gates.iter().position(|g| g.output == out).unwrap();
+            let larger = lib.next_drive(view.design().cells[gi], true).expect("a larger cell");
+            view.resize_cell(gi, larger);
+            let report = view.report().clone();
+            let fresh = sta::analyze(view.design(), &lib, &c);
+            check_reports(&report, &fresh);
+            let q = view.qor();
+            check_summary(&SlackSummary { wns: q.wns, cps: q.cps, tns: q.tns }, &fresh.summary());
+            let sm = view.slack_map();
+            let fresh_sm = sta::slack_map(view.design(), &lib, &c);
+            check_vec(&sm.arrival, &fresh_sm.arrival, "arrival");
+            check_vec(&sm.required, &fresh_sm.required, "required");
+            let t = g.stats();
+            assert_eq!(t.full_builds, step as u64 + 2, "resize {step} must rebuild");
+            assert_eq!(t.incremental_updates, 0, "a cyclic graph never flushes a worklist");
+        }
+    }
+
     #[test]
     fn oracle_stays_armed_until_the_last_guard_drops() {
         // No other test in this binary arms the oracle.

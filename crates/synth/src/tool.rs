@@ -635,7 +635,6 @@ pub struct SessionTemplate {
     library: Arc<Library>,
     memo: CleanupMemo,
     obs: chatls_obs::ObsCtx,
-    cancel: CancelToken,
 }
 
 /// A template's pristine mapped design plus the memo of its cleanup,
@@ -671,8 +670,8 @@ impl CleanupMemo {
 /// The one construction path for synthesis sessions.
 ///
 /// Collects everything session setup used to scatter across constructors —
-/// the design, an observability context, a cancel token — then builds
-/// either a [`SessionTemplate`] (for stamping many sessions) or a single
+/// the design and an observability context — then builds either a
+/// [`SessionTemplate`] (for stamping many sessions) or a single
 /// [`SynthSession`]:
 ///
 /// ```
@@ -695,22 +694,13 @@ pub struct SessionBuilder {
     netlist: Netlist,
     library: Library,
     obs: chatls_obs::ObsCtx,
-    cancel: CancelToken,
 }
 
 impl SessionBuilder {
-    /// Starts a builder over `netlist` targeting `library`. Defaults: a
-    /// disabled observability context and a never-firing cancel token.
+    /// Starts a builder over `netlist` targeting `library`, with a
+    /// disabled observability context.
     pub fn new(netlist: Netlist, library: Library) -> Self {
-        Self { netlist, library, obs: chatls_obs::ObsCtx::disabled(), cancel: CancelToken::never() }
-    }
-
-    /// Attaches a cooperative cancel token; sessions built (or stamped
-    /// from the template) inherit it and abort scripts at the next
-    /// command or optimization-round boundary once it fires.
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
+        Self { netlist, library, obs: chatls_obs::ObsCtx::disabled() }
     }
 
     /// Attaches an observability context; the mapping step and every script
@@ -734,7 +724,6 @@ impl SessionBuilder {
             library: Arc::new(self.library),
             memo: CleanupMemo::new(Arc::new(design)),
             obs: self.obs,
-            cancel: self.cancel,
         })
     }
 
@@ -775,7 +764,7 @@ impl SessionTemplate {
     /// A fresh session over the pristine mapped design: default
     /// constraints, empty log, nothing ungrouped — a full
     /// [`SessionBuilder::session`] build minus the elaboration and
-    /// mapping cost. The stamp inherits the builder's cancel token;
+    /// mapping cost. The stamp starts with a never-firing cancel token;
     /// attach a per-run one with [`SynthSession::set_cancel_token`].
     ///
     /// Stamping is copy-on-write: this shares the template's library,
@@ -797,7 +786,7 @@ impl SessionTemplate {
             log: Vec::new(),
             last_netlist: None,
             obs: self.obs.clone(),
-            cancel: self.cancel.clone(),
+            cancel: CancelToken::never(),
             observer: None,
         }
     }
@@ -846,8 +835,8 @@ impl SynthSession {
     /// Attaches a cancel token; [`run_script`](Self::run_script) checks it
     /// before every command and the long optimization passes check it
     /// between rounds, so a fired token aborts the run at the next
-    /// boundary with [`CANCELLED_MESSAGE`]. Replaces any token inherited
-    /// from the builder or template.
+    /// boundary with [`CANCELLED_MESSAGE`]. Replaces the session's current
+    /// token (a fresh session's never fires).
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = token;
     }
@@ -1131,9 +1120,14 @@ impl SynthSession {
             "check_design" => {
                 let mut d = (*self.design).clone();
                 d.compact();
-                match d.netlist.check() {
-                    Ok(()) => self.log.push("check_design: no issues".into()),
-                    Err(m) => self.log.push(format!("check_design: {m}")),
+                let before = self.log.len();
+                // Every lowered netlist has dead gates (an unused `$const0`,
+                // say), so NL004 is no design problem.
+                for issue in d.netlist.lint().into_iter().filter(|i| i.code != "NL004") {
+                    self.log.push(format!("check_design: {} {}", issue.code, issue.message));
+                }
+                if self.log.len() == before {
+                    self.log.push("check_design: no issues".into());
                 }
                 Ok(())
             }
@@ -1473,7 +1467,8 @@ mod tests {
         let sf = parse(PIPE).unwrap();
         let nl = lower_to_netlist(&sf, "pipe").unwrap();
         let token = CancelToken::new();
-        let mut s = SessionBuilder::new(nl, nangate45()).cancel(token.clone()).session().unwrap();
+        let mut s = SessionBuilder::new(nl, nangate45()).session().unwrap();
+        s.set_cancel_token(token.clone());
         token.cancel();
         let r = s.run_script("create_clock -period 0.6 [get_ports clk]\ncompile\nreport_qor");
         assert!(!r.ok());
@@ -1491,11 +1486,40 @@ mod tests {
         let sf = parse(PIPE).unwrap();
         let nl = lower_to_netlist(&sf, "pipe").unwrap();
         let token = CancelToken::new();
-        let mut s = SessionBuilder::new(nl, nangate45()).cancel(token.clone()).session().unwrap();
+        let mut s = SessionBuilder::new(nl, nangate45()).session().unwrap();
+        s.set_cancel_token(token.clone());
         token.cancel();
         let r = s.run_script("# comments only, no commands\n");
         assert!(r.was_cancelled(), "a cancelled run must never report error: None");
         assert!(!r.ok());
+    }
+
+    #[test]
+    fn check_design_reports_floating_nets() {
+        // `x` feeds a gate and `e` a register enable; nothing drives either.
+        let mut s = session(
+            "module t(input a, input clk, output y, output reg q);
+                wire x; wire e;
+                assign y = a & x;
+                always @(posedge clk) if (e) q <= a;
+            endmodule",
+            "t",
+        );
+        let r = s.run_script("check_design\n");
+        assert!(r.ok(), "{:?}", r.error);
+        let floating = |net: &str| {
+            r.log.iter().any(|l| l.starts_with("check_design: NL002 ") && l.contains(net))
+        };
+        assert!(floating("'t/x'") && floating("'t/e'"), "{:?}", r.log);
+        assert!(!r.log.iter().any(|l| l == "check_design: no issues"), "{:?}", r.log);
+        // A sound design logs one line, dead gates notwithstanding.
+        let mut s = session(PIPE, "pipe");
+        let mut d = s.design().clone();
+        d.compact();
+        assert!(d.netlist.lint().iter().any(|i| i.code == "NL004"), "the fixture has dead gates");
+        let r = s.run_script("check_design\ncompile\ncheck_design\n");
+        let lines: Vec<&String> = r.log.iter().filter(|l| l.starts_with("check_design")).collect();
+        assert_eq!(lines, ["check_design: no issues"; 2], "{:?}", r.log);
     }
 
     #[test]

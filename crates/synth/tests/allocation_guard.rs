@@ -10,8 +10,7 @@
 //! twice: as the run that fills its scope's cleanup memo (a fresh
 //! `SessionTemplate::scoped` copy per counted run) and as a run that adopts
 //! an already filled memo. The counts are the same in debug and release
-//! builds and at any `CHATLS_THREADS`: none of these designs is large
-//! enough for the level-parallel arrival walk.
+//! builds.
 
 use chatls_liberty::nangate45;
 use chatls_synth::{MappedDesign, RunResult, SessionBuilder, SessionTemplate};
